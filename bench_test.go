@@ -322,12 +322,11 @@ func BenchmarkAblationAtomicFlipped(b *testing.B) {
 	}
 }
 
-// BenchmarkStepPipeline ablates the fused single-dispatch Step
-// against the pre-fusion three-dispatch pipeline, at a small scale
-// where per-dispatch overhead dominates and at a large scale where
-// edge traversal does. 8 workers matches the paper-style setup; the
-// PageRank variants measure full application iterations (Step plus
-// the fused element-wise epilogue).
+// BenchmarkStepPipeline times the fused single-dispatch Step at a
+// small scale where per-dispatch overhead dominates and at a large
+// scale where edge traversal does. 8 workers matches the paper-style
+// setup; the PageRank variants measure full application iterations
+// (Step plus the fused element-wise epilogue).
 func BenchmarkStepPipeline(b *testing.B) {
 	pool := sched.NewPool(8)
 	defer pool.Close()
@@ -343,30 +342,25 @@ func BenchmarkStepPipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, mode := range []struct {
-			name   string
-			phased bool
-		}{{"fused", false}, {"phased", true}} {
-			e, err := core.NewEngineOpts(ih, pool, core.EngineOptions{Phased: mode.phased})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(sc.name+"/step-"+mode.name, func(b *testing.B) {
-				benchStepper(b, g, e)
-			})
-			deg := make([]int, g.NumV)
-			for nv := range deg {
-				deg[nv] = g.OutDegree(ih.OldID[nv])
-			}
-			b.Run(sc.name+"/pagerank-"+mode.name, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := analytics.RunPageRank(e, deg, pool,
-						analytics.PageRankOptions{MaxIters: 5, Tol: -1}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+		e, err := core.NewEngine(ih, pool)
+		if err != nil {
+			b.Fatal(err)
 		}
+		b.Run(sc.name+"/step-fused", func(b *testing.B) {
+			benchStepper(b, g, e)
+		})
+		deg := make([]int, g.NumV)
+		for nv := range deg {
+			deg[nv] = g.OutDegree(ih.OldID[nv])
+		}
+		b.Run(sc.name+"/pagerank-fused", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := analytics.RunPageRank(e, deg, pool,
+					analytics.PageRankOptions{MaxIters: 5, Tol: -1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -423,10 +417,9 @@ func BenchmarkStepBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkSparseKernel ablates the sparse-block kernel three ways —
-// the paper's uniform pull, the degree-aware pull schedule, and the
-// two-phase propagation-blocked kernel (DESIGN.md §12) — on both
-// analogs. The web analog is the interesting one: its sparse block
+// BenchmarkSparseKernel ablates the sparse-block kernel — the paper's
+// uniform pull against the degree-aware pull schedule (DESIGN.md §12)
+// — on both analogs. The web analog is the interesting one: its sparse block
 // holds most of the edges, so the sparse kernel dominates the step.
 func BenchmarkSparseKernel(b *testing.B) {
 	benchSetup(b)
@@ -438,7 +431,7 @@ func BenchmarkSparseKernel(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, k := range []core.SparseKernel{core.SparsePull, core.SparsePullDegree, core.SparsePB} {
+		for _, k := range []core.SparseKernel{core.SparsePull, core.SparsePullDegree} {
 			k := k
 			b.Run(gr.name+"/"+k.String(), func(b *testing.B) {
 				e, err := core.NewEngineOpts(ih, benchPool, core.EngineOptions{SparseKernel: k})

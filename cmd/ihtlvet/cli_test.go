@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -81,9 +82,11 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
-// TestGateWaiverIndex exercises the gates' annotation loader against
-// the real module: the //ihtl:nobce kernels must be indexed, and the
-// one deliberate //ihtl:allow-boundscheck waiver must cover its line.
+// TestGateWaiverIndex exercises the gates' annotation loader: against
+// the real module the //ihtl:nobce kernels must be indexed, and against
+// a fixture module an //ihtl:allow-boundscheck waiver must cover its
+// line. The product code carries no waiver today, so the waiver half
+// runs on the fixture.
 func TestGateWaiverIndex(t *testing.T) {
 	wd, err := os.Getwd()
 	if err != nil {
@@ -105,7 +108,7 @@ func TestGateWaiverIndex(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no //ihtl:nobce functions indexed; the kernel annotations are gone or the loader is broken")
 	}
-	for _, fn := range []string{"pushTaskFlat", "pbDrainBucket", "sparsePullRange", "DecodeChunkCSR"} {
+	for _, fn := range []string{"pushTaskFlat", "xDrainBucket", "sparsePullRange", "DecodeChunkCSR"} {
 		found := false
 		for _, frs := range nobce {
 			for _, fr := range frs {
@@ -118,7 +121,26 @@ func TestGateWaiverIndex(t *testing.T) {
 			t.Errorf("expected //ihtl:nobce function %s in the gate index", fn)
 		}
 	}
-	if len(ann.waived["allow-boundscheck"]) == 0 {
-		t.Error("expected at least one //ihtl:allow-boundscheck waiver (the pbDrainBucket clear line)")
+
+	fixture := t.TempDir()
+	src := `package k
+
+//ihtl:nobce
+func clearTail(dst []float64, lo, hi int) {
+	clear(dst[lo:hi]) //ihtl:allow-boundscheck clamped by the caller
+}
+`
+	if err := os.WriteFile(filepath.Join(fixture, "k.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fann, err := loadAnnotations(fixture, []*gateSpec{bceGate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frs := fann.funcs["nobce"]["k.go"]; len(frs) != 1 || frs[0].name != "clearTail" {
+		t.Errorf("fixture //ihtl:nobce index = %+v, want clearTail", frs)
+	}
+	if !fann.waived["allow-boundscheck"]["k.go"][5] {
+		t.Errorf("fixture waiver on line 5 not indexed: %+v", fann.waived["allow-boundscheck"])
 	}
 }

@@ -26,7 +26,7 @@ func main() {
 	var (
 		in      = flag.String("i", "", "input graph file")
 		engine  = flag.String("engine", "ihtl", "engine: ihtl | pull | push-atomic | push-buffered | push-partitioned | prop-blocked")
-		sparse  = flag.String("sparse", "auto", "iHTL sparse-block kernel: auto | pull | pull-degree | pb")
+		sparse  = flag.String("sparse", "auto", "iHTL sparse-block kernel: auto | pull | pull-degree")
 		enc     = flag.String("encoding", "auto", "iHTL block-topology encoding: auto | flat | varint")
 		iters   = flag.Int("iters", 20, "PageRank iterations")
 		top     = flag.Int("top", 10, "print the top-K ranked vertices")

@@ -71,9 +71,9 @@ type Stepper = spmv.Stepper
 // PageRankOptions configures PageRank.
 type PageRankOptions = analytics.PageRankOptions
 
-// EngineOptions tunes the iHTL engine beyond Params: pipeline
-// ablations, the sparse-block kernel, and the opt-in numeric-health
-// watchdog.
+// EngineOptions tunes the iHTL engine beyond Params: the scalar
+// AtomicFlipped ablation, the sparse-block kernel, the block encoding,
+// sharding, and the opt-in numeric-health watchdog.
 type EngineOptions = core.EngineOptions
 
 // SparseKernel selects the engine's sparse-block kernel via
@@ -81,18 +81,16 @@ type EngineOptions = core.EngineOptions
 type SparseKernel = core.SparseKernel
 
 // Sparse-block kernels: the repository default (auto), the paper's
-// uniform pull, degree-aware-scheduled pull, and the two-phase
-// propagation-blocked kernel. All three produce bit-for-bit identical
-// results; they differ only in locality and scheduling.
+// uniform pull, and degree-aware-scheduled pull. Both kernels produce
+// bit-for-bit identical results; they differ only in scheduling.
 const (
 	SparseAuto       = core.SparseAuto
 	SparsePull       = core.SparsePull
 	SparsePullDegree = core.SparsePullDegree
-	SparsePB         = core.SparsePB
 )
 
 // ParseSparseKernel parses a sparse-kernel name ("auto", "pull",
-// "pull-degree", "pb") as used by the CLI -sparse flags.
+// "pull-degree") as used by the CLI -sparse flags.
 func ParseSparseKernel(s string) (SparseKernel, error) { return core.ParseSparseKernel(s) }
 
 // BlockEncoding selects how the engine stores and traverses block
@@ -103,8 +101,8 @@ type BlockEncoding = core.BlockEncoding
 // varint for engines over graphs loaded encoded-only from a v2 engine
 // file), the flat uint32 adjacency arrays, and the chunked varint-gap
 // encoding decoded into per-worker scratch inside the fused dispatch.
-// Both encodings produce bit-for-bit identical results under every
-// pipeline; they differ only in resident footprint and stream width.
+// Both encodings produce bit-for-bit identical results; they differ
+// only in resident footprint and stream width.
 const (
 	EncodingAuto   = core.EncodingAuto
 	EncodingFlat   = core.EncodingFlat
@@ -269,11 +267,12 @@ func NewEngine(g *Graph, pool *Pool, p Params) (*Engine, error) {
 	return NewEngineOpts(nil, g, pool, p, EngineOptions{})
 }
 
-// NewEngineOpts is NewEngine with explicit engine options (pipeline
-// ablations, the numeric-health watchdog, sharded execution) and a
-// context governing the preprocessing build: cancelling ctx aborts hub
-// ranking, relabeling and block construction between phases (mid-pass
-// at the next chunk claim) and returns ctx.Err(). ctx may be nil.
+// NewEngineOpts is NewEngine with explicit engine options (the scalar
+// AtomicFlipped ablation, the numeric-health watchdog, sharded
+// execution) and a context governing the preprocessing build:
+// cancelling ctx aborts hub ranking, relabeling and block construction
+// between phases (mid-pass at the next chunk claim) and returns
+// ctx.Err(). ctx may be nil.
 //
 // With opt.Shards > 1 the graph is cut into that many vertex-range
 // shards, each with its own flipped blocks, sparse block and hub

@@ -125,18 +125,12 @@ func TestStepJSONRoundTrip(t *testing.T) {
 			t.Fatalf("%s: missing bytes_per_edge: %+v", r.Kernel, r)
 		}
 		switch r.Kernel {
-		case "ihtl-fused", "ihtl-phased", "ihtl-pull-degree":
-			// The pull-family sparse kernels charge SparseNs only.
-			if r.SparseNs <= 0 || r.BinNs != 0 || r.DrainNs != 0 {
-				t.Fatalf("%s: bad phase split: %+v", r.Kernel, r)
-			}
-		case "ihtl-pb":
-			// The propagation-blocked kernel splits bin vs drain.
-			if r.BinNs <= 0 || r.DrainNs <= 0 || r.SparseNs != 0 {
-				t.Fatalf("%s: bad phase split: %+v", r.Kernel, r)
+		case "ihtl-fused", "ihtl-pull-degree":
+			if r.SparseNs <= 0 {
+				t.Fatalf("%s: missing sparse_ns: %+v", r.Kernel, r)
 			}
 		default:
-			if r.SparseNs != 0 || r.BinNs != 0 || r.DrainNs != 0 {
+			if r.SparseNs != 0 {
 				t.Fatalf("%s: baseline record grew phase clocks: %+v", r.Kernel, r)
 			}
 		}

@@ -14,15 +14,14 @@ import (
 
 // StepKernels lists the kernel IDs RunStepJSON measures, in report
 // order: the five baseline traversal engines (including standalone
-// propagation blocking), the fused Algorithm 3 engine with its sparse
-// kernel pinned to the paper's pull, its pre-fusion phased ablation,
-// and the two sparse-kernel ablations (degree-aware pull and
-// propagation-blocked; sparse.go).
+// propagation blocking), and the fused Algorithm 3 engine under each
+// sparse kernel: pinned to the paper's pull, and degree-aware pull
+// (sparse.go).
 func StepKernels() []string {
 	return []string{
 		"pull", "push-atomic", "push-buffered", "push-partitioned",
 		"prop-blocked",
-		"ihtl-fused", "ihtl-phased", "ihtl-pull-degree", "ihtl-pb",
+		"ihtl-fused", "ihtl-pull-degree",
 	}
 }
 
@@ -53,13 +52,9 @@ type StepResult struct {
 	// encoding ablation compares across flat and varint.
 	ResidentBytes int64 `json:"resident_bytes,omitempty"`
 
-	// SparseNs/BinNs/DrainNs split an iHTL record's per-step sparse
-	// busy time by phase: the pull kernels charge SparseNs, the
-	// propagation-blocked kernel charges its two phases separately.
-	// Baseline (non-iHTL) records leave all three at zero.
+	// SparseNs is an iHTL record's per-step sparse busy time.
+	// Baseline (non-iHTL) records leave it at zero.
 	SparseNs int64 `json:"sparse_ns,omitempty"`
-	BinNs    int64 `json:"bin_ns,omitempty"`
-	DrainNs  int64 `json:"drain_ns,omitempty"`
 
 	// BatchK is the batch width of a batched-kernel record (0 for
 	// scalar records). NsPerStep is then the time of one K-wide
@@ -124,15 +119,7 @@ func RunStepJSON(env *Env, datasets []*Dataset) (*StepReport, error) {
 			if ce, ok := e.(*core.Engine); ok {
 				res.Encoding = ce.Encoding().String()
 				if b := ce.TakeBreakdown(); b.Steps > 0 {
-					steps := int64(b.Steps)
-					res.SparseNs = b.SparseBusy.Nanoseconds() / steps
-					res.BinNs = b.BinBusy.Nanoseconds() / steps
-					res.DrainNs = b.DrainBusy.Nanoseconds() / steps
-					if res.SparseNs == 0 && res.BinNs == 0 {
-						// The phased pipeline records wall-clock phase
-						// boundaries instead of per-worker busy clocks.
-						res.SparseNs = b.Sparse.Nanoseconds() / steps
-					}
+					res.SparseNs = b.SparseBusy.Nanoseconds() / int64(b.Steps)
 				}
 			}
 			rep.Results = append(rep.Results, res)
@@ -219,24 +206,16 @@ func stepEngine(env *Env, g *graph.Graph, kernel string) (spmv.Stepper, error) {
 		return spmv.NewEngine(g, env.Pool, spmv.PushPartitioned, spmv.Options{})
 	case "prop-blocked":
 		return spmv.NewEngine(g, env.Pool, spmv.PropBlocked, spmv.Options{})
-	case "ihtl-fused", "ihtl-phased":
-		// Sparse kernel pinned to the paper's pull so the ihtl-* rows
-		// form a clean three-way sparse ablation against the two below.
+	case "ihtl-fused", "ihtl-pull-degree":
+		// ihtl-fused pins the sparse kernel to the paper's pull so the
+		// two ihtl-* rows form a clean sparse-kernel ablation.
 		ih, err := core.Build(g, env.ihtlParams())
 		if err != nil {
 			return nil, err
 		}
-		return core.NewEngineOpts(ih, env.Pool, core.EngineOptions{
-			Phased: kernel == "ihtl-phased", SparseKernel: core.SparsePull,
-		})
-	case "ihtl-pull-degree", "ihtl-pb":
-		ih, err := core.Build(g, env.ihtlParams())
-		if err != nil {
-			return nil, err
-		}
-		k := core.SparsePullDegree
-		if kernel == "ihtl-pb" {
-			k = core.SparsePB
+		k := core.SparsePull
+		if kernel == "ihtl-pull-degree" {
+			k = core.SparsePullDegree
 		}
 		return core.NewEngineOpts(ih, env.Pool, core.EngineOptions{SparseKernel: k})
 	default:

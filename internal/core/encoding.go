@@ -252,7 +252,7 @@ func uvarintChecked(data []byte, pos int64) (uint64, int) {
 }
 
 // buildBlockTasksEnc is buildBlockTasks for the varint encoding: one
-// task per encoded chunk (the chunk IS the steal granule — its decode
+// task per encoded chunk (the chunk IS the task granule — its decode
 // scratch is the cache-resident working set), skipping chunks with no
 // edges. Each task's hub destination bounds come from one
 // construction-time decode of its chunk.
@@ -376,30 +376,6 @@ func (e *Engine) pushTaskEncBatch(w, k int, bt *blockTask, fb *FlippedBlock, src
 			db := int(unchecked.At(dsts, int(i))) * k
 			for j, x := range xs {
 				unchecked.AddAt(buf, db+j, x)
-			}
-		}
-	}
-}
-
-// pushTaskEncAtomicBatch is pushTaskEncAtomic with K-wide lanes.
-//
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func (e *Engine) pushTaskEncAtomicBatch(w, k int, bt *blockTask, fb *FlippedBlock, src, dst []float64) {
-	sc := unchecked.PtrAt(e.encScratch, w)
-	nsrc, _ := fb.Enc.DecodeChunkCSR(bt.chunk, sc.sIdx, sc.dsts)
-	sIdx, dsts := sc.sIdx, sc.dsts
-	for s := 0; s < nsrc; s++ {
-		xs := unchecked.SliceAt(src, (bt.lo+s)*k, k)
-		if spmv.SkipZeroLanes(xs) {
-			continue
-		}
-		end := unchecked.At(sIdx, s+1)
-		for i := unchecked.At(sIdx, s); i < end; i++ {
-			db := int(unchecked.At(dsts, int(i))) * k
-			for j, x := range xs {
-				spmv.AtomicAddFloat64(unchecked.PtrAt(dst, db+j), x)
 			}
 		}
 	}

@@ -9,17 +9,12 @@ import (
 	"ihtl/internal/sched"
 )
 
-// encOptsMatrix is every pipeline x sparse-kernel combination the
+// encOptsMatrix is every flipped-mode x sparse-kernel combination the
 // varint encoding must pin bit-for-bit against the flat reference.
 func encOptsMatrix() []EngineOptions {
 	var opts []EngineOptions
-	for _, pipeline := range []EngineOptions{
-		{},
-		{Phased: true},
-		{AtomicFlipped: true},
-		{AtomicFlipped: true, Phased: true},
-	} {
-		for _, k := range []SparseKernel{SparsePull, SparsePullDegree, SparsePB} {
+	for _, pipeline := range []EngineOptions{{}, {AtomicFlipped: true}} {
+		for _, k := range []SparseKernel{SparsePull, SparsePullDegree} {
 			o := pipeline
 			o.SparseKernel = k
 			o.BlockEncoding = EncodingVarint
@@ -30,12 +25,12 @@ func encOptsMatrix() []EngineOptions {
 }
 
 func encLabel(o EngineOptions) string {
-	return fmt.Sprintf("phased=%v atomic=%v sparse=%v", o.Phased, o.AtomicFlipped, o.SparseKernel)
+	return fmt.Sprintf("atomic=%v sparse=%v", o.AtomicFlipped, o.SparseKernel)
 }
 
 // TestEncodingDifferential pins BlockEncoding varint bit-for-bit equal
-// to the flat reference across the fused/phased/atomic pipelines, all
-// three sparse kernels, worker counts {1, 3, GOMAXPROCS}, and repeated
+// to the flat reference across the buffered and atomic flipped modes,
+// both sparse kernels, worker counts {1, 3, GOMAXPROCS}, and repeated
 // steps, with both non-negative and signed/-0.0 sources.
 func TestEncodingDifferential(t *testing.T) {
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
@@ -79,7 +74,7 @@ func TestEncodingDifferential(t *testing.T) {
 }
 
 // TestEncodingBatchDifferential is the K-lane mirror: StepBatch under
-// varint equals StepBatch under flat for every pipeline and kernel.
+// varint equals StepBatch under flat for every flipped mode and kernel.
 func TestEncodingBatchDifferential(t *testing.T) {
 	for name, g := range diffGraphs(t) {
 		ih, err := Build(g, Params{HubsPerBlock: 64})

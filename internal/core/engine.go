@@ -15,14 +15,20 @@ import (
 // flipped blocks into per-thread hub buffers, merge the buffers, then
 // pull the sparse block. It implements spmv.Stepper.
 //
-// By default the three phases run as a SINGLE fused pool dispatch:
-// workers claim flipped tasks and sparse partitions with range
-// stealing, and each flipped block's merge is gated only on that
-// block's completion counter — not on a global barrier. This is safe
-// because the destinations are disjoint: merges write dst[0, NumHubs)
-// and the sparse pull writes dst[DestLo, NumV). The pre-fusion
-// three-dispatch pipeline remains available via EngineOptions.Phased
-// for ablation.
+// The three phases run as a SINGLE fused pool dispatch: each worker
+// pushes its fixed share of the flipped tasks, claims sparse
+// partitions with range stealing, and each flipped block's merge is
+// gated only on that block's completion counter — not on a global
+// barrier. This is safe because the destinations are disjoint: merges
+// write dst[0, NumHubs) and the sparse pull writes dst[DestLo, NumV).
+//
+// The flipped-task → worker assignment is a pure function of the
+// topology and the worker count, merges fold worker buffers in
+// ascending worker order, and every sparse kernel sums each
+// destination in an order fixed by the topology. Step and StepBatch
+// are therefore bit-for-bit reproducible across runs at a fixed
+// worker count, except under the AtomicFlipped ablation, whose CAS
+// accumulation order is schedule-dependent.
 //
 // The engine operates in iHTL (relabeled) vertex-ID space; use
 // IHTL.NewID/OldID or the PermuteToNew/PermuteToOld helpers to move
@@ -31,7 +37,6 @@ type Engine struct {
 	ih            *IHTL
 	pool          *sched.Pool
 	atomicFlipped bool
-	phased        bool
 	// nworkers is the number of distinct worker indices this engine's
 	// per-worker state (buffers, clocks, schedulers, barriers) is sized
 	// for. It equals pool.Workers() for a standalone engine; a sharded
@@ -54,11 +59,11 @@ type Engine struct {
 	// hubs — "each thread buffers B * #fb vertex data" (§3.4). With
 	// B sized to L2/8, one buffer per flipped block fits L2.
 	bufs [][]float64
-	// blockTasks are (block, source-chunk) pairs; a worker claims one
-	// at a time, so it processes a single flipped block at a time as
-	// §3.4 requires. Tasks are ordered by block, so the contiguous
-	// ranges handed out by the steal scheduler keep a worker inside
-	// one block's buffer as long as possible.
+	// blockTasks are (block, source-chunk) pairs; a worker processes
+	// one at a time, so it works on a single flipped block at a time as
+	// §3.4 requires. Tasks are ordered by block, so a worker's
+	// contiguous share (flipBounds) stays inside one block's buffer as
+	// long as possible.
 	blockTasks []blockTask
 	// tasksPerBlock[b] is the number of blockTasks targeting block b;
 	// it arms the per-block completion counters each Step.
@@ -78,43 +83,33 @@ type Engine struct {
 	// coarse chunks over the remaining short rows.
 	heavyBounds []int
 	lightBounds []int
-	// pb is the SparsePB bin/drain state; auxSched claims its drain
-	// buckets (and SparsePullDegree's heavy parts); binBarrier
-	// separates the bin and drain phases inside the fused dispatch.
-	pb         *pbState
-	auxSched   *sched.StealScheduler
-	binBarrier *sched.Barrier
+	// auxSched claims SparsePullDegree's heavy parts.
+	auxSched *sched.StealScheduler
 
-	// Fused-dispatch state. flipSched and sparseSched are persistent
-	// per-engine steal schedulers (allocated once, Reset per Step);
-	// blockGate holds one countdown latch per flipped block; dirty
-	// tracks, per (worker, block), the hub range the worker actually
-	// touched so merges read only buffers that were written.
-	flipSched   *sched.StealScheduler
+	// Fused-dispatch state. flipBounds partitions blockTasks into one
+	// contiguous share per worker: worker w pushes tasks
+	// [flipBounds[w], flipBounds[w+1]). sparseSched is a persistent
+	// steal scheduler (allocated once, Reset per Step); blockGate holds
+	// one countdown latch per flipped block; dirty tracks, per (worker,
+	// block), the hub range the worker actually touched so merges read
+	// only buffers that were written.
+	flipBounds  []int
 	sparseSched *sched.StealScheduler
 	blockGate   *sched.Countdowns
 	dirty       []dirtyRange // indexed worker*len(Blocks)+block
-	// staticFlip (EngineOptions.StaticFlipped) replaces flipped-task
-	// stealing with the fixed per-worker ranges in flipBounds;
-	// flipCursors are the per-step claim positions.
-	staticFlip  bool
-	flipBounds  []int
-	flipCursors []flipCursor
-	// hubClearBounds and clearBarrier serve the AtomicFlipped fused
-	// path: workers cooperatively zero the hub slots, cross the
-	// barrier, then push with CAS.
+	// hubClearBounds and clearBarrier serve the AtomicFlipped path:
+	// workers cooperatively zero the hub slots, cross the barrier,
+	// then push with CAS.
 	hubClearBounds []int
 	clearBarrier   *sched.Barrier
 	// fusedJob is the prebuilt worker body (capturing only e), so a
 	// fused Step allocates nothing; curSrc/curDst stage its vectors.
 	fusedJob       func(w int)
 	curSrc, curDst []float64
-	// StepEpi state: the staged epilogue, the barrier its workers
-	// cross once dst is complete, and the prebuilt dispatch body the
-	// phased pipeline runs it under.
-	curEpi       func(w, lo, hi int)
-	epiBarrier   *sched.Barrier
-	phasedEpiJob func(w int)
+	// StepEpi state: the staged epilogue and the barrier its workers
+	// cross once dst is complete.
+	curEpi     func(w, lo, hi int)
+	epiBarrier *sched.Barrier
 
 	// batch is the K-wide state of StepBatch, allocated on first use
 	// of a width and reused while the width is stable.
@@ -131,10 +126,6 @@ type Engine struct {
 	healthBad   []healthSlot
 	healthErr   *spmv.NumericError
 	curK        int
-	// healthScanJob is the prebuilt scan body the phased pipeline
-	// dispatches separately (the fused pipeline folds the scan into
-	// runEpilogue).
-	healthScanJob func(w, lo, hi int)
 
 	// clocks accumulate per-worker busy time per phase, cache-line
 	// padded so the frequent updates don't false-share.
@@ -152,10 +143,10 @@ type blockTask struct {
 	chunk int
 	// dLo, dHi bound the hub IDs this task's edges can write
 	// (precomputed at build). Tracking the dirty range per task
-	// instead of per edge keeps the push inner loop identical to the
-	// phased pipeline's; the range is conservative (a source with a
-	// zero value still widens it), which is sound because untouched
-	// buffer slots hold the additive identity.
+	// instead of per edge keeps the push inner loop free of range
+	// bookkeeping; the range is conservative (a source with a zero
+	// value still widens it), which is sound because untouched buffer
+	// slots hold the additive identity.
 	dLo, dHi int
 }
 
@@ -214,53 +205,27 @@ type healthSlot struct {
 	_     [6]int64
 }
 
-// flipCursor is one worker's claim position inside its static
-// flipped-task range (StaticFlipped engines), padded to a cache line
-// so neighbouring workers' claims do not share one.
-type flipCursor struct {
-	next, hi int
-	_        [6]int64
-}
-
 // workerClock is one worker's per-phase busy time, padded to a cache
-// line. The sparse field covers the pull kernels; the propagation-
-// blocked kernel splits its time into bin and drain instead, so the
-// stepjson per-phase breakdown stays honest for either kernel.
+// line.
 type workerClock struct {
 	flipped time.Duration
 	merge   time.Duration
 	sparse  time.Duration
-	bin     time.Duration
-	drain   time.Duration
-	_       [3]int64
+	_       [5]int64
 }
 
 // Breakdown accumulates time per Algorithm 3 phase across Steps;
 // Table 5's "FB Time" and "Buffer Merging" columns divide these by the
 // total.
 //
-// Two views are kept. The *busy* fields sum, over workers, the time
-// each worker actually spent executing a phase; the fused pipeline
-// records them, since fused phases have no wall-clock boundaries to
-// time. The *wall* fields (Flipped/Merge/Sparse) are the elapsed time
-// of each barriered phase and are only recorded by the phased
-// pipeline, whose barriers define them; they include the barrier wait
-// behind the slowest worker. Wall is the elapsed time of whole Steps
-// (including any fused StepEpi epilogue) under either pipeline, so
-// the phase columns never double-count it.
+// The phase fields sum, over workers, the time each worker actually
+// spent executing a phase: fused phases overlap and have no wall-clock
+// boundaries to time. Wall is the elapsed time of whole Steps
+// (including any fused StepEpi epilogue).
 type Breakdown struct {
-	Flipped time.Duration // phased only: elapsed flipped phase
-	Merge   time.Duration // phased only: elapsed merge phase
-	Sparse  time.Duration // phased only: elapsed sparse phase
-
 	FlippedBusy time.Duration // Σ workers' in-phase busy time
 	MergeBusy   time.Duration
 	SparseBusy  time.Duration
-	// BinBusy/DrainBusy split the sparse phase of the propagation-
-	// blocked kernel (SparsePB); the pull kernels leave them zero and
-	// record SparseBusy instead.
-	BinBusy   time.Duration
-	DrainBusy time.Duration
 	// ExchangeBinBusy/ExchangeDrainBusy are the sharded engine's cross-
 	// shard exchange phases (see sharded.go); single-shard engines leave
 	// them zero.
@@ -271,49 +236,30 @@ type Breakdown struct {
 	Steps int
 }
 
-// SparseTotalBusy returns the summed busy time of the sparse phase
-// under any kernel: the pull kernels' SparseBusy plus the PB kernel's
-// bin and drain halves.
-func (b Breakdown) SparseTotalBusy() time.Duration {
-	return b.SparseBusy + b.BinBusy + b.DrainBusy
-}
+// SparseTotalBusy returns the summed busy time of the sparse phase.
+func (b Breakdown) SparseTotalBusy() time.Duration { return b.SparseBusy }
 
-// Total returns the elapsed time of all Steps: the measured wall time
-// when available, otherwise the summed phase walls.
-func (b Breakdown) Total() time.Duration {
-	if b.Wall > 0 {
-		return b.Wall
-	}
-	return b.Flipped + b.Merge + b.Sparse
-}
+// Total returns the elapsed time of all Steps.
+func (b Breakdown) Total() time.Duration { return b.Wall }
 
 // TotalBusy returns the summed per-worker busy time across phases.
 func (b Breakdown) TotalBusy() time.Duration {
 	return b.FlippedBusy + b.MergeBusy + b.SparseTotalBusy() + b.ExchangeBinBusy + b.ExchangeDrainBusy
 }
 
-// FlippedFrac returns the fraction of time spent pushing flipped
-// blocks (0 when no Steps ran). Busy time is preferred — it is
-// attributable under fusion and does not double-count scheduler idle
-// time; the wall split is the fallback for breakdowns recorded by
-// older phased-only runs.
+// FlippedFrac returns the fraction of busy time spent pushing flipped
+// blocks (0 when no Steps ran).
 func (b Breakdown) FlippedFrac() float64 {
 	if t := b.TotalBusy(); t > 0 {
 		return float64(b.FlippedBusy) / float64(t)
 	}
-	if t := b.Flipped + b.Merge + b.Sparse; t > 0 {
-		return float64(b.Flipped) / float64(t)
-	}
 	return 0
 }
 
-// MergeFrac returns the fraction of time spent merging buffers.
+// MergeFrac returns the fraction of busy time spent merging buffers.
 func (b Breakdown) MergeFrac() float64 {
 	if t := b.TotalBusy(); t > 0 {
 		return float64(b.MergeBusy) / float64(t)
-	}
-	if t := b.Flipped + b.Merge + b.Sparse; t > 0 {
-		return float64(b.Merge) / float64(t)
 	}
 	return 0
 }
@@ -323,40 +269,30 @@ type EngineOptions struct {
 	// AtomicFlipped processes flipped blocks with atomic updates
 	// directly into the hub data instead of per-thread buffers. The
 	// paper chose buffering "as it is more efficient in the setting
-	// of iHTL" (§3.4); this option exists to ablate that choice.
+	// of iHTL" (§3.4); this option exists to ablate that choice. It
+	// applies to scalar steps only: StepBatch with k > 1 runs the
+	// buffered batch pipeline on every engine.
 	AtomicFlipped bool
-	// Phased selects the pre-fusion pipeline — three barriered pool
-	// dispatches per Step (flipped, merge, sparse) with an
-	// O(workers x NumHubs) merge sweep — for ablating the fused
-	// single-dispatch pipeline.
-	Phased bool
-	// StaticFlipped pins the flipped-task → worker assignment to a
-	// fixed partition instead of range stealing. Merges already fold
-	// worker buffers in ascending worker order and every sparse kernel
-	// sums each destination in an order that is a pure function of the
-	// topology, so with this option the ONLY remaining source of
-	// run-to-run float variance — which worker accumulated which
-	// partial sum — is gone: Step and StepBatch become bit-for-bit
-	// reproducible across runs for a fixed worker count. The serving
-	// layer's replay guarantees (checkpoint warm restart, coalesced
-	// lane == solo run) are built on this mode; the price is losing
-	// the steal scheduler's load balancing on skewed blocks.
-	// Incompatible with AtomicFlipped, whose CAS merge order is
-	// schedule-dependent by nature.
+	// StaticFlipped is ignored: every engine pins the flipped-task →
+	// worker assignment to a fixed partition, so Step and StepBatch are
+	// bit-for-bit reproducible across runs at a fixed worker count (see
+	// Engine). The field remains so callers can state that they rely on
+	// it; setting it together with AtomicFlipped is rejected, because
+	// CAS accumulation cannot give that reproducibility.
 	StaticFlipped bool
 	// Health arms the opt-in numeric watchdog: the SpMV result vector
 	// is scanned for NaN/±Inf after each (Every-th) step, fused into
 	// the epilogue sweep on the fused pipeline. See spmv.HealthPolicy.
 	Health spmv.HealthPolicy
 	// SparseKernel selects the sparse-block kernel: SparseAuto (the
-	// measured default), SparsePull, SparsePullDegree or SparsePB.
-	// All three produce bit-for-bit identical results; they differ in
-	// memory-access shape and scheduling. See sparse.go.
+	// measured default), SparsePull or SparsePullDegree. Both produce
+	// bit-for-bit identical results; they differ in scheduling. See
+	// sparse.go.
 	SparseKernel SparseKernel
 	// BlockEncoding selects the adjacency representation the engine
 	// traverses: EncodingAuto (varint when only the encoded topology
 	// is resident, flat otherwise), EncodingFlat or EncodingVarint.
-	// All pipelines are bit-for-bit identical under either encoding.
+	// Steps are bit-for-bit identical under either encoding.
 	// See encoding.go.
 	BlockEncoding BlockEncoding
 	// Shards splits execution into N contiguous vertex-range shards,
@@ -403,7 +339,10 @@ func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers in
 	if nworkers < 1 || nworkers > pool.Workers() {
 		return nil, fmt.Errorf("core: engine worker count %d outside [1, %d]", nworkers, pool.Workers())
 	}
-	e := &Engine{ih: ih, pool: pool, atomicFlipped: opt.AtomicFlipped, phased: opt.Phased, health: opt.Health, nworkers: nworkers}
+	if opt.StaticFlipped && opt.AtomicFlipped {
+		return nil, fmt.Errorf("core: StaticFlipped is incompatible with AtomicFlipped (CAS accumulation order is schedule-dependent)")
+	}
+	e := &Engine{ih: ih, pool: pool, atomicFlipped: opt.AtomicFlipped, health: opt.Health, nworkers: nworkers}
 	if !e.atomicFlipped {
 		e.bufs = make([][]float64, nworkers)
 		for w := range e.bufs {
@@ -413,7 +352,7 @@ func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers in
 	e.initEncoding(opt.BlockEncoding)
 	if e.varint {
 		// One task per encoded chunk: the chunk's decode scratch is
-		// the cache-resident working set, so it is the steal granule.
+		// the cache-resident working set, so it is the task granule.
 		e.blockTasks, e.tasksPerBlock, e.emptyBlocks = buildBlockTasksEnc(ih)
 	} else {
 		// Edge-balanced source chunks per flipped block: the per-block
@@ -424,20 +363,8 @@ func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers in
 		e.sparseBounds = sched.EdgeBalancedParts(ih.Sparse.Index, nworkers*4)
 	}
 	e.initSparseKernel(opt.SparseKernel)
-	if opt.StaticFlipped {
-		if opt.AtomicFlipped {
-			return nil, fmt.Errorf("core: StaticFlipped is incompatible with AtomicFlipped (CAS merge order is schedule-dependent)")
-		}
-		e.staticFlip = true
-		e.flipBounds = make([]int, nworkers+1)
-		for wi := 0; wi < nworkers; wi++ {
-			lo, hi := sched.SplitRange(len(e.blockTasks), nworkers, wi)
-			e.flipBounds[wi], e.flipBounds[wi+1] = lo, hi
-		}
-		e.flipCursors = make([]flipCursor, nworkers)
-	}
 	w := nworkers
-	e.flipSched = sched.NewStealScheduler(w)
+	e.flipBounds = sched.VertexBalancedParts(len(e.blockTasks), w)
 	e.sparseSched = sched.NewStealScheduler(w)
 	e.blockGate = sched.NewCountdowns(len(ih.Blocks))
 	e.dirty = make([]dirtyRange, w*len(ih.Blocks))
@@ -452,12 +379,7 @@ func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers in
 		e.fusedJob = e.fusedWorkerBuffered
 	}
 	e.epiBarrier = sched.NewBarrier(w)
-	e.phasedEpiJob = func(worker int) {
-		lo, hi := sched.SplitRange(e.ih.NumV, e.nworkers, worker)
-		e.curEpi(worker, lo, hi)
-	}
 	e.healthBad = make([]healthSlot, w)
-	e.healthScanJob = e.healthScan
 	e.curK = 1
 	return e, nil
 }
@@ -489,11 +411,10 @@ func (e *Engine) Step(src, dst []float64) { e.StepEpi(src, dst, nil) }
 
 // StepEpi is Step followed by an element-wise epilogue: every worker
 // runs epi(w, lo, hi) over its static share [lo, hi) of [0, NumV)
-// once all of dst is complete. Under the fused pipeline the epilogue
-// runs INSIDE the same dispatch, behind an internal barrier, so a
-// whole analytic iteration — SpMV plus e.g. PageRank's damping/delta/
-// contribution sweep — costs a single pool round-trip. The phased
-// pipeline runs it as a separate dispatch. epi may be nil.
+// once all of dst is complete. The epilogue runs INSIDE the step's
+// dispatch, behind an internal barrier, so a whole analytic iteration
+// — SpMV plus e.g. PageRank's damping/delta/contribution sweep — costs
+// a single pool round-trip. epi may be nil.
 //
 //ihtl:noalloc
 func (e *Engine) StepEpi(src, dst []float64, epi func(w, lo, hi int)) {
@@ -520,35 +441,16 @@ func (e *Engine) stepEpi(src, dst []float64, epi func(w, lo, hi int)) *spmv.Nume
 		panic("core: vector length mismatch")
 	}
 	e.armHealth(1)
-	if e.phased {
-		e.stepPhased(src, dst)
-		if e.healthArmed {
-			// The fused pipeline folds this scan into its epilogue
-			// barrier phase; the phased ablation pays one extra
-			// dispatch, consistent with its per-phase structure.
-			e.curDst = dst
-			e.pool.ForStatic(ih.NumV, e.healthScanJob)
-			e.curDst = nil
-		}
-		if epi != nil {
-			start := time.Now()
-			e.curEpi = epi
-			e.pool.Run(e.phasedEpiJob)
-			e.curEpi = nil
-			e.breakdown.Wall += time.Since(start)
-		}
-	} else {
-		e.curEpi = epi
-		e.stepFused(src, dst)
-		e.curEpi = nil
-	}
+	e.curEpi = epi
+	e.stepFused(src, dst)
+	e.curEpi = nil
 	e.breakdown.Steps++
 	return e.collectHealth()
 }
 
 // StepCtx is Step with cancellation and panic isolation: it returns
-// ctx.Err() promptly when ctx is cancelled (observed at every task
-// claim), converts a pool-worker panic into a returned
+// ctx.Err() promptly when ctx is cancelled (observed at every flipped
+// task and sparse claim), converts a pool-worker panic into a returned
 // *sched.PanicError, and returns a *spmv.NumericError when the armed
 // health watchdog fails the step. After a cancelled or panicked step
 // the engine's reusable state (hub buffers, dirty ranges, barriers) is
@@ -677,12 +579,6 @@ func (e *Engine) recoverState() {
 	if e.clearBarrier != nil {
 		e.clearBarrier.Reset()
 	}
-	if e.binBarrier != nil {
-		// The PB bin cursors need no recovery: every chunk re-stages
-		// its cursors at claim time, so only the abandoned barrier
-		// crossing holds state.
-		e.binBarrier.Reset()
-	}
 	if e.batch != nil {
 		e.batch.recoverState()
 	}
@@ -691,7 +587,6 @@ func (e *Engine) recoverState() {
 	}
 	e.curSrc, e.curDst, e.curEpi = nil, nil, nil
 	e.healthArmed = false
-	e.resetFlipCursors()
 }
 
 // stepFused runs all of Algorithm 3 as one pool dispatch; see
@@ -707,52 +602,18 @@ func (e *Engine) stepFused(src, dst []float64) {
 }
 
 // stageFused arms the fused dispatch state for one step over the given
-// vectors without dispatching: scheduler resets, merge-countdown
-// arming, and vector staging. Split from stepFused so the sharded
+// vectors without dispatching: sparse scheduler resets,
+// merge-countdown arming, and vector staging. Split from stepFused so the sharded
 // engine can stage every shard's sub-engine and then run all their
 // worker bodies (e.fusedJob) under ONE pool dispatch of its own.
 //
 //ihtl:noalloc
 func (e *Engine) stageFused(src, dst []float64) {
-	e.flipSched.Reset(len(e.blockTasks))
-	e.resetFlipCursors()
 	e.resetSparseScheds()
 	if !e.atomicFlipped {
 		e.blockGate.Reset(e.tasksPerBlock)
 	}
 	e.curSrc, e.curDst = src, dst
-}
-
-// resetFlipCursors rearms the static flipped-task claim positions for
-// one step; a no-op on stealing engines (flipCursors is nil).
-//
-//ihtl:noalloc
-func (e *Engine) resetFlipCursors() {
-	for w := range e.flipCursors {
-		e.flipCursors[w].next = e.flipBounds[w]
-		e.flipCursors[w].hi = e.flipBounds[w+1]
-	}
-}
-
-// claimFlip hands worker w its next flipped-task range: by range
-// stealing normally, or — on a StaticFlipped engine — the next task of
-// the worker's fixed share, which keeps the task → worker assignment
-// (and with it every buffer's partial-sum operand set) a pure function
-// of the topology and worker count. The granule matches the stealing
-// path's, so abort latency is unchanged.
-//
-//ihtl:noalloc
-func (e *Engine) claimFlip(w int) (lo, hi int, ok bool) {
-	if e.staticFlip {
-		c := &e.flipCursors[w]
-		if c.next >= c.hi {
-			return 0, 0, false
-		}
-		lo = c.next
-		c.next++
-		return lo, c.next, true
-	}
-	return e.flipSched.Next(w, 1)
 }
 
 // unstageFused clears the staged vectors and folds the per-worker
@@ -766,14 +627,14 @@ func (e *Engine) unstageFused() {
 
 // fusedWorkerBuffered is one worker's share of a fused buffered Step:
 //
-//  1. claim flipped tasks by range stealing, accumulating into the
-//     worker's private hub buffer and widening the dirty hub range
-//     per block by the task's precomputed destination bounds;
+//  1. push the worker's fixed share of flipped tasks (flipBounds),
+//     accumulating into its private hub buffer and widening the dirty
+//     hub range per block by the task's precomputed destination bounds;
 //  2. whenever a task completes its block (per-block countdown), merge
 //     that block immediately — only buffers with non-empty dirty
 //     ranges are read, and the hub slots are owned exclusively because
 //     every task of the block has finished;
-//  3. when no flipped work remains anywhere, claim sparse partitions
+//  3. when the worker's flipped share is done, claim sparse partitions
 //     by range stealing and pull them;
 //  4. if a StepEpi epilogue is staged, cross the epilogue barrier and
 //     run the worker's share of it.
@@ -782,9 +643,12 @@ func (e *Engine) unstageFused() {
 // partitions while another still pushes a flipped block, because their
 // dst ranges are disjoint ([0, NumHubs) vs [DestLo, NumV)).
 //
+// The fixed share keeps the task → worker assignment, and with it
+// every buffer's partial-sum operand set, a pure function of the
+// topology and worker count; the abort check runs once per task.
+//
 // Phase clocks are read once per loop, not per task: flipped busy time
-// is the whole claim loop (steal overhead included) minus the merges
-// nested inside it.
+// is the whole task loop minus the merges nested inside it.
 //
 //ihtl:noalloc
 func (e *Engine) fusedWorkerBuffered(w int) {
@@ -802,39 +666,33 @@ func (e *Engine) fusedWorkerBuffered(w int) {
 	nb := len(ih.Blocks)
 	buf := e.bufs[w]
 	var mergeTime time.Duration
-	for !e.pool.Aborted() {
-		lo, hi, ok := e.claimFlip(w)
-		if !ok {
-			break
+	for ti, end := e.flipBounds[w], e.flipBounds[w+1]; ti < end && !e.pool.Aborted(); ti++ {
+		faultinject.Fire(faultinject.SiteFlippedTask)
+		bt := &e.blockTasks[ti]
+		fb := &ih.Blocks[bt.block]
+		if e.varint {
+			e.pushTaskEnc(w, bt, fb, src, buf)
+		} else {
+			pushTaskFlat(bt, fb, src, buf)
 		}
-		for ti := lo; ti < hi; ti++ {
-			faultinject.Fire(faultinject.SiteFlippedTask)
-			bt := &e.blockTasks[ti]
-			fb := &ih.Blocks[bt.block]
-			if e.varint {
-				e.pushTaskEnc(w, bt, fb, src, buf)
+		if bt.dHi > bt.dLo {
+			dr := &e.dirty[w*nb+bt.block]
+			if dr.hi <= dr.lo {
+				dr.lo, dr.hi = bt.dLo, bt.dHi
 			} else {
-				pushTaskFlat(bt, fb, src, buf)
-			}
-			if bt.dHi > bt.dLo {
-				dr := &e.dirty[w*nb+bt.block]
-				if dr.hi <= dr.lo {
-					dr.lo, dr.hi = bt.dLo, bt.dHi
-				} else {
-					if bt.dLo < dr.lo {
-						dr.lo = bt.dLo
-					}
-					if bt.dHi > dr.hi {
-						dr.hi = bt.dHi
-					}
+				if bt.dLo < dr.lo {
+					dr.lo = bt.dLo
+				}
+				if bt.dHi > dr.hi {
+					dr.hi = bt.dHi
 				}
 			}
-			if e.blockGate.Done(bt.block) {
-				faultinject.Fire(faultinject.SiteMergeBlock)
-				tm := time.Now()
-				e.mergeBlock(bt.block, dst)
-				mergeTime += time.Since(tm)
-			}
+		}
+		if e.blockGate.Done(bt.block) {
+			faultinject.Fire(faultinject.SiteMergeBlock)
+			tm := time.Now()
+			e.mergeBlock(bt.block, dst)
+			mergeTime += time.Since(tm)
 		}
 	}
 	t1 := time.Now()
@@ -896,8 +754,8 @@ func (e *Engine) mergeBlock(b int, dst []float64) {
 
 // fusedWorkerAtomic is the AtomicFlipped ablation's fused worker:
 // cooperative hub zeroing, a spin barrier (CAS pushes must not start
-// before every hub slot is cleared), stolen flipped tasks with CAS
-// updates, then the sparse pull.
+// before every hub slot is cleared), the worker's fixed share of
+// flipped tasks with CAS updates, then the sparse pull.
 //
 //ihtl:noalloc
 func (e *Engine) fusedWorkerAtomic(w int) {
@@ -913,21 +771,15 @@ func (e *Engine) fusedWorkerAtomic(w int) {
 		}
 	}
 	t1 := time.Now() // after the barrier: waiting is not busy time
-	for !e.pool.Aborted() {
-		lo, hi, ok := e.claimFlip(w)
-		if !ok {
-			break
+	for ti, end := e.flipBounds[w], e.flipBounds[w+1]; ti < end && !e.pool.Aborted(); ti++ {
+		faultinject.Fire(faultinject.SiteFlippedTask)
+		bt := &e.blockTasks[ti]
+		fb := &ih.Blocks[bt.block]
+		if e.varint {
+			e.pushTaskEncAtomic(w, bt, fb, src, dst)
+			continue
 		}
-		for ti := lo; ti < hi; ti++ {
-			faultinject.Fire(faultinject.SiteFlippedTask)
-			bt := &e.blockTasks[ti]
-			fb := &ih.Blocks[bt.block]
-			if e.varint {
-				e.pushTaskEncAtomic(w, bt, fb, src, dst)
-				continue
-			}
-			pushTaskFlatAtomic(bt, fb, src, dst)
-		}
+		pushTaskFlatAtomic(bt, fb, src, dst)
 	}
 	t2 := time.Now()
 	clk.flipped += t2.Sub(t1)
@@ -946,124 +798,8 @@ func (e *Engine) harvestClocks() {
 		e.breakdown.FlippedBusy += c.flipped
 		e.breakdown.MergeBusy += c.merge
 		e.breakdown.SparseBusy += c.sparse
-		e.breakdown.BinBusy += c.bin
-		e.breakdown.DrainBusy += c.drain
 		*c = workerClock{}
 	}
-}
-
-// stepPhased is the pre-fusion pipeline: three barriered dispatches
-// with a full O(workers x NumHubs) merge sweep. Kept selectable for
-// ablating the fused pipeline (EngineOptions.Phased). It records the
-// phase walls its barriers define instead of per-worker busy time —
-// the same figures the pipeline produced before fusion, without
-// per-task clock reads distorting what it ablates.
-func (e *Engine) stepPhased(src, dst []float64) {
-	ih := e.ih
-
-	// Phase 1 — push traversal of the flipped blocks (Alg. 3 l.1-4).
-	t0 := time.Now()
-	if e.atomicFlipped {
-		// Ablation path: skip the buffers and CAS straight into the
-		// hub data. Requires zeroed hub slots first.
-		//ihtl:allow-nosite trivial zeroing sweep with no recovery path of its own
-		e.pool.ForStatic(ih.NumHubs, func(w, lo, hi int) {
-			clear(dst[lo:hi])
-		})
-		e.pool.ForEachPart(len(e.blockTasks), func(w, task int) {
-			bt := &e.blockTasks[task]
-			fb := &ih.Blocks[bt.block]
-			if e.varint {
-				e.pushTaskEncAtomic(w, bt, fb, src, dst)
-				return
-			}
-			pushTaskFlatAtomic(bt, fb, src, dst)
-		})
-	} else {
-		pushTask := func(w, task int) {
-			bt := &e.blockTasks[task]
-			fb := &ih.Blocks[bt.block]
-			buf := e.bufs[w]
-			if e.varint {
-				e.pushTaskEnc(w, bt, fb, src, buf)
-				return
-			}
-			pushTaskFlat(bt, fb, src, buf)
-		}
-		if e.staticFlip {
-			// Pinned task → worker assignment: each buffer accumulates
-			// a fixed operand set, and phase 2 folds buffers in fixed
-			// order, so the phased pipeline is bit-reproducible too.
-			e.pool.Run(func(w int) {
-				for task := e.flipBounds[w]; task < e.flipBounds[w+1]; task++ {
-					faultinject.Fire(faultinject.SiteFlippedTask)
-					pushTask(w, task)
-				}
-			})
-		} else {
-			e.pool.ForEachPart(len(e.blockTasks), pushTask)
-		}
-	}
-	t1 := time.Now()
-
-	// Phase 2 — aggregate thread buffers into hub data (l.5-7),
-	// clearing each buffer entry after reading so the buffers are
-	// ready for the next iteration without a separate reset sweep.
-	// The atomic ablation wrote hub data in phase 1 already.
-	if !e.atomicFlipped {
-		bufs := e.bufs
-		e.pool.ForStatic(ih.NumHubs, func(w, lo, hi int) {
-			faultinject.Fire(faultinject.SiteMergeBlock)
-			for h := lo; h < hi; h++ {
-				sum := 0.0
-				for t := range bufs {
-					sum += bufs[t][h]
-					bufs[t][h] = 0
-				}
-				dst[h] = sum
-			}
-		})
-	}
-	t2 := time.Now()
-
-	// Phase 3 — the sparse block under the configured kernel (l.8-10).
-	// The non-pull kernels run their sub-phases as separate dispatches
-	// here (the dispatch boundary is the bin/drain barrier); the fused
-	// pipeline is where they earn their keep.
-	switch e.sparseKernel {
-	case SparsePullDegree:
-		if np := len(e.heavyBounds) - 1; np > 0 {
-			e.pool.ForEachPart(np, func(w, part int) {
-				e.sparseHeavyPart(part, src, dst)
-			})
-		}
-		if np := len(e.lightBounds) - 1; np > 0 {
-			e.pool.ForEachPart(np, func(w, part int) {
-				e.sparseLightPart(part, src, dst)
-			})
-		}
-	case SparsePB:
-		if e.pb != nil {
-			e.pool.ForEachPart(e.pb.numChunks, func(w, c int) {
-				e.pbBinChunk(c, src)
-			})
-			e.pool.ForEachPart(e.pb.numBuckets, func(w, b int) {
-				e.pbDrainBucket(b, dst)
-			})
-		}
-	default:
-		if nparts := len(e.sparseBounds) - 1; nparts > 0 {
-			e.pool.ForEachPart(nparts, func(w, part int) {
-				e.sparsePullRange(e.sparseBounds[part], e.sparseBounds[part+1], src, dst)
-			})
-		}
-	}
-	t3 := time.Now()
-
-	e.breakdown.Flipped += t1.Sub(t0)
-	e.breakdown.Merge += t2.Sub(t1)
-	e.breakdown.Sparse += t3.Sub(t2)
-	e.breakdown.Wall += t3.Sub(t0)
 }
 
 // PermuteToNew scatters a vector indexed by original IDs into iHTL ID

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"ihtl/internal/faultinject"
-	"ihtl/internal/sched"
 	"ihtl/internal/spmv"
 )
 
@@ -16,13 +15,15 @@ import (
 // and every sparse edge K contiguous partial sums — the edge/index
 // stream that bounds the scalar kernels is amortised K ways.
 //
-// The batched pipeline reuses the engine's schedulers, countdown
-// gates, barriers and clocks; only the hub buffers and dirty ranges
-// are K-wide, held in a batchState allocated on first use of a width
-// (and reused while the width is stable, keeping steady-state
-// StepBatch allocation-free). To keep a K-wide per-block buffer
-// L2-resident the way §3.4 sizes the scalar one, build the IHTL with
-// Params.ForBatch(k), which shrinks the effective B to L2/(8·K).
+// The batched pipeline reuses the engine's flipped partition,
+// schedulers, countdown gates, barriers and clocks; only the hub
+// buffers and dirty ranges are K-wide, held in a batchState allocated
+// on first use of a width (and reused while the width is stable,
+// keeping steady-state StepBatch allocation-free). It is always the
+// buffered pipeline: the AtomicFlipped ablation covers scalar steps
+// only. To keep a K-wide per-block buffer L2-resident the way §3.4
+// sizes the scalar one, build the IHTL with Params.ForBatch(k), which
+// shrinks the effective B to L2/(8·K).
 
 // batchState is the K-wide execution state of one batch width.
 type batchState struct {
@@ -33,13 +34,6 @@ type batchState struct {
 	// dirty tracks per (worker, block) the HUB range the worker
 	// touched (lane-agnostic: lanes of one hub live or die together).
 	dirty []dirtyRange
-	// hubClearBounds are lane-aligned flat bounds over [0, NumHubs*k)
-	// for the AtomicFlipped path's cooperative clear.
-	hubClearBounds []int
-	// binVals are the K-wide bin contributions of the SparsePB kernel
-	// (slot p's lanes at [p*k, (p+1)*k)); the slot offsets, cursors and
-	// row array are shared with the scalar pbState.
-	binVals []float64
 	// fusedJob is the prebuilt worker body, so a fused StepBatch
 	// allocates nothing.
 	fusedJob func(w int)
@@ -53,26 +47,12 @@ func (e *Engine) ensureBatch(k int) *batchState {
 	}
 	b := &batchState{k: k}
 	w := len(e.clocks)
-	if e.atomicFlipped {
-		if e.ih.NumHubs > 0 {
-			b.hubClearBounds = make([]int, w+1)
-			for i := 0; i < w; i++ {
-				b.hubClearBounds[i], b.hubClearBounds[i+1] =
-					sched.SplitRangeStride(e.ih.NumHubs, k, w, i)
-			}
-		}
-		b.fusedJob = func(worker int) { e.fusedWorkerAtomicBatch(b, worker) }
-	} else {
-		b.bufs = make([][]float64, w)
-		for i := range b.bufs {
-			b.bufs[i] = make([]float64, e.ih.NumHubs*k)
-		}
-		b.dirty = make([]dirtyRange, w*len(e.ih.Blocks))
-		b.fusedJob = func(worker int) { e.fusedWorkerBufferedBatch(b, worker) }
+	b.bufs = make([][]float64, w)
+	for i := range b.bufs {
+		b.bufs[i] = make([]float64, e.ih.NumHubs*k)
 	}
-	if e.pb != nil {
-		b.binVals = make([]float64, len(e.pb.binRows)*k)
-	}
+	b.dirty = make([]dirtyRange, w*len(e.ih.Blocks))
+	b.fusedJob = func(worker int) { e.fusedWorkerBufferedBatch(b, worker) }
 	e.batch = b
 	return b
 }
@@ -80,7 +60,9 @@ func (e *Engine) ensureBatch(k int) *batchState {
 // StepBatch computes dst[v*k+j] = Σ_{u ∈ N⁻(v)} src[u*k+j] for every
 // vertex v and lane j < k, in iHTL ID space. src and dst must have
 // length NumV*k, be vertex-major interleaved, and must not alias.
-// k == 1 delegates to the scalar Step.
+// k == 1 delegates to the scalar Step. k > 1 runs the buffered batch
+// pipeline even on an AtomicFlipped engine, whose CAS ablation is
+// scalar-only.
 //
 //ihtl:noalloc
 func (e *Engine) StepBatch(src, dst []float64, k int) {
@@ -90,9 +72,9 @@ func (e *Engine) StepBatch(src, dst []float64, k int) {
 // StepBatchEpi is StepBatch followed by an element-wise epilogue with
 // the same contract as StepEpi's: every worker runs epi(w, lo, hi)
 // over its static share [lo, hi) of the VERTEX range [0, NumV) — lane
-// j of vertex v is at index v*k+j — once all of dst is complete. Under
-// the fused pipeline the epilogue runs inside the same dispatch, so a
-// whole K-source analytic iteration costs a single pool round-trip.
+// j of vertex v is at index v*k+j — once all of dst is complete. The
+// epilogue runs inside the step's dispatch, so a whole K-source
+// analytic iteration costs a single pool round-trip.
 // epi may be nil.
 //
 //ihtl:noalloc
@@ -119,25 +101,9 @@ func (e *Engine) stepBatchEpi(src, dst []float64, k int, epi func(w, lo, hi int)
 	}
 	b := e.ensureBatch(k)
 	e.armHealth(k)
-	if e.phased {
-		e.stepPhasedBatch(b, src, dst)
-		if e.healthArmed {
-			e.curDst = dst
-			e.pool.ForStatic(ih.NumV, e.healthScanJob)
-			e.curDst = nil
-		}
-		if epi != nil {
-			start := time.Now()
-			e.curEpi = epi
-			e.pool.Run(e.phasedEpiJob)
-			e.curEpi = nil
-			e.breakdown.Wall += time.Since(start)
-		}
-	} else {
-		e.curEpi = epi
-		e.stepFusedBatch(b, src, dst)
-		e.curEpi = nil
-	}
+	e.curEpi = epi
+	e.stepFusedBatch(b, src, dst)
+	e.curEpi = nil
 	e.breakdown.Steps++
 	return e.collectHealth()
 }
@@ -188,24 +154,22 @@ func (e *Engine) stepFusedBatch(b *batchState, src, dst []float64) {
 }
 
 // stageFusedBatch is stageFused for a K-wide step: same scheduler and
-// countdown arming (the schedulers partition tasks, not lanes), with
-// the vectors staged for b.fusedJob. The sharded engine stages every
-// shard's batch state and runs all their worker bodies under one
-// dispatch; unstageFused is the shared teardown.
+// countdown arming (the schedules partition tasks, not lanes), with
+// the vectors staged for b.fusedJob. The countdowns are armed even on
+// an AtomicFlipped engine, because the batch pipeline is always the
+// buffered one. The sharded engine stages every shard's batch state
+// and runs all their worker bodies under one dispatch; unstageFused is
+// the shared teardown.
 //
 //ihtl:noalloc
 func (e *Engine) stageFusedBatch(b *batchState, src, dst []float64) {
-	e.flipSched.Reset(len(e.blockTasks))
-	e.resetFlipCursors()
 	e.resetSparseScheds()
-	if !e.atomicFlipped {
-		e.blockGate.Reset(e.tasksPerBlock)
-	}
+	e.blockGate.Reset(e.tasksPerBlock)
 	e.curSrc, e.curDst = src, dst
 }
 
 // fusedWorkerBufferedBatch is fusedWorkerBuffered with K-wide lanes:
-// same task claiming, dirty-range widening, countdown-gated merges and
+// same flipped share, dirty-range widening, countdown-gated merges and
 // barrier-free flow into the sparse pull — only the accumulation is
 // over buf[d*k : d*k+k] instead of buf[d].
 //
@@ -224,39 +188,33 @@ func (e *Engine) fusedWorkerBufferedBatch(b *batchState, w int) {
 	nb := len(ih.Blocks)
 	buf := b.bufs[w]
 	var mergeTime time.Duration
-	for !e.pool.Aborted() {
-		lo, hi, ok := e.claimFlip(w)
-		if !ok {
-			break
+	for ti, end := e.flipBounds[w], e.flipBounds[w+1]; ti < end && !e.pool.Aborted(); ti++ {
+		faultinject.Fire(faultinject.SiteFlippedTask)
+		bt := &e.blockTasks[ti]
+		fb := &ih.Blocks[bt.block]
+		if e.varint {
+			e.pushTaskEncBatch(w, k, bt, fb, src, buf)
+		} else {
+			pushTaskFlatBatch(k, bt, fb, src, buf)
 		}
-		for ti := lo; ti < hi; ti++ {
-			faultinject.Fire(faultinject.SiteFlippedTask)
-			bt := &e.blockTasks[ti]
-			fb := &ih.Blocks[bt.block]
-			if e.varint {
-				e.pushTaskEncBatch(w, k, bt, fb, src, buf)
+		if bt.dHi > bt.dLo {
+			dr := &b.dirty[w*nb+bt.block]
+			if dr.hi <= dr.lo {
+				dr.lo, dr.hi = bt.dLo, bt.dHi
 			} else {
-				pushTaskFlatBatch(k, bt, fb, src, buf)
-			}
-			if bt.dHi > bt.dLo {
-				dr := &b.dirty[w*nb+bt.block]
-				if dr.hi <= dr.lo {
-					dr.lo, dr.hi = bt.dLo, bt.dHi
-				} else {
-					if bt.dLo < dr.lo {
-						dr.lo = bt.dLo
-					}
-					if bt.dHi > dr.hi {
-						dr.hi = bt.dHi
-					}
+				if bt.dLo < dr.lo {
+					dr.lo = bt.dLo
+				}
+				if bt.dHi > dr.hi {
+					dr.hi = bt.dHi
 				}
 			}
-			if e.blockGate.Done(bt.block) {
-				faultinject.Fire(faultinject.SiteMergeBlock)
-				tm := time.Now()
-				e.mergeBlockBatch(b, bt.block, dst)
-				mergeTime += time.Since(tm)
-			}
+		}
+		if e.blockGate.Done(bt.block) {
+			faultinject.Fire(faultinject.SiteMergeBlock)
+			tm := time.Now()
+			e.mergeBlockBatch(b, bt.block, dst)
+			mergeTime += time.Since(tm)
 		}
 	}
 	t1 := time.Now()
@@ -291,153 +249,6 @@ func (e *Engine) mergeBlockBatch(b *batchState, blk int, dst []float64) {
 		}
 		dr.lo, dr.hi = 0, 0
 	}
-}
-
-// fusedWorkerAtomicBatch is the AtomicFlipped ablation's batched fused
-// worker: cooperative lane-aligned hub zeroing, the clear barrier,
-// stolen flipped tasks with K CAS updates per edge, then the batched
-// sparse pull.
-//
-//ihtl:noalloc
-func (e *Engine) fusedWorkerAtomicBatch(b *batchState, w int) {
-	ih := e.ih
-	k := b.k
-	src, dst := e.curSrc, e.curDst
-	clk := &e.clocks[w]
-	if ih.NumHubs > 0 {
-		t0 := time.Now()
-		clear(dst[b.hubClearBounds[w]:b.hubClearBounds[w+1]])
-		clk.merge += time.Since(t0)
-		if !e.clearBarrier.WaitAbort(e.pool) {
-			return
-		}
-	}
-	t1 := time.Now()
-	for !e.pool.Aborted() {
-		lo, hi, ok := e.claimFlip(w)
-		if !ok {
-			break
-		}
-		for ti := lo; ti < hi; ti++ {
-			faultinject.Fire(faultinject.SiteFlippedTask)
-			bt := &e.blockTasks[ti]
-			fb := &ih.Blocks[bt.block]
-			if e.varint {
-				e.pushTaskEncAtomicBatch(w, k, bt, fb, src, dst)
-				continue
-			}
-			pushTaskFlatAtomicBatch(k, bt, fb, src, dst)
-		}
-	}
-	t2 := time.Now()
-	clk.flipped += t2.Sub(t1)
-	e.sparseWorkerBatch(b, w, src, dst)
-	e.runEpilogue(w)
-}
-
-// stepPhasedBatch is the pre-fusion three-dispatch pipeline with
-// K-wide lanes, kept for the same ablation EngineOptions.Phased serves
-// in the scalar path.
-func (e *Engine) stepPhasedBatch(b *batchState, src, dst []float64) {
-	ih := e.ih
-	k := b.k
-
-	// Phase 1 — K-wide push traversal of the flipped blocks.
-	t0 := time.Now()
-	if e.atomicFlipped {
-		//ihtl:allow-nosite trivial zeroing sweep with no recovery path of its own
-		e.pool.ForStatic(ih.NumHubs*k, func(w, lo, hi int) {
-			clear(dst[lo:hi])
-		})
-		e.pool.ForEachPart(len(e.blockTasks), func(w, task int) {
-			bt := &e.blockTasks[task]
-			fb := &ih.Blocks[bt.block]
-			if e.varint {
-				e.pushTaskEncAtomicBatch(w, k, bt, fb, src, dst)
-				return
-			}
-			pushTaskFlatAtomicBatch(k, bt, fb, src, dst)
-		})
-	} else {
-		pushTask := func(w, task int) {
-			bt := &e.blockTasks[task]
-			fb := &ih.Blocks[bt.block]
-			buf := b.bufs[w]
-			if e.varint {
-				e.pushTaskEncBatch(w, k, bt, fb, src, buf)
-				return
-			}
-			pushTaskFlatBatch(k, bt, fb, src, buf)
-		}
-		if e.staticFlip {
-			// See stepPhased: pinned assignment + fixed-order phase 2
-			// fold keeps the batched phased pipeline bit-reproducible.
-			e.pool.Run(func(w int) {
-				for task := e.flipBounds[w]; task < e.flipBounds[w+1]; task++ {
-					faultinject.Fire(faultinject.SiteFlippedTask)
-					pushTask(w, task)
-				}
-			})
-		} else {
-			e.pool.ForEachPart(len(e.blockTasks), pushTask)
-		}
-	}
-	t1 := time.Now()
-
-	// Phase 2 — aggregate the K-wide thread buffers into hub data.
-	// The flat sweep over [0, NumHubs*k) is element-wise, so the split
-	// needs no lane alignment.
-	if !e.atomicFlipped {
-		bufs := b.bufs
-		e.pool.ForStatic(ih.NumHubs*k, func(w, lo, hi int) {
-			faultinject.Fire(faultinject.SiteMergeBlock)
-			for i := lo; i < hi; i++ {
-				sum := 0.0
-				for t := range bufs {
-					sum += bufs[t][i]
-					bufs[t][i] = 0
-				}
-				dst[i] = sum
-			}
-		})
-	}
-	t2 := time.Now()
-
-	// Phase 3 — the K-wide sparse block under the configured kernel.
-	switch e.sparseKernel {
-	case SparsePullDegree:
-		if np := len(e.heavyBounds) - 1; np > 0 {
-			e.pool.ForEachPart(np, func(w, part int) {
-				e.sparseHeavyPartBatch(k, part, src, dst)
-			})
-		}
-		if np := len(e.lightBounds) - 1; np > 0 {
-			e.pool.ForEachPart(np, func(w, part int) {
-				e.sparseLightPartBatch(k, part, src, dst)
-			})
-		}
-	case SparsePB:
-		if e.pb != nil {
-			e.pool.ForEachPart(e.pb.numChunks, func(w, c int) {
-				e.pbBinChunkBatch(b, c, src)
-			})
-			e.pool.ForEachPart(e.pb.numBuckets, func(w, bkt int) {
-				e.pbDrainBucketBatch(b, bkt, dst)
-			})
-		}
-	default:
-		if nparts := len(e.sparseBounds) - 1; nparts > 0 {
-			e.pool.ForEachPart(nparts, func(w, part int) {
-				e.sparsePullRangeBatch(k, e.sparseBounds[part], e.sparseBounds[part+1], src, dst)
-			})
-		}
-	}
-	t3 := time.Now()
-
-	e.breakdown.Flipped += t1.Sub(t0)
-	e.breakdown.Merge += t2.Sub(t1)
-	e.breakdown.Sparse += t3.Sub(t2)
-	e.breakdown.Wall += t3.Sub(t0)
 }
 
 // PermuteToNewBatch scatters K interleaved vectors indexed by original

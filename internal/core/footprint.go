@@ -9,8 +9,7 @@ import "ihtl/internal/spmv"
 // tables) and, on the sparse side, the per-row byte offsets. The
 // per-worker decode scratch is cache-resident by construction (that is
 // what the chunk size bounds), so like the hub buffers' residency it
-// contributes no memory traffic here. The propagation-blocked kernel
-// runs from its own transposed arrays under either encoding.
+// contributes no memory traffic here.
 func (e *Engine) topologyStreamBytes() int64 {
 	ih := e.ih
 	var total int64
@@ -28,13 +27,6 @@ func (e *Engine) topologyStreamBytes() int64 {
 	if n <= 0 {
 		return total
 	}
-	Es := sp.NumEdges()
-	if e.sparseKernel == SparsePB {
-		if e.pb != nil {
-			total += 8*int64(len(e.pb.pushIndex)) + 4*Es // transposed CSR
-		}
-		return total
-	}
 	if e.varint {
 		total += int64(len(sp.Enc.Data)) // gap streams (degree inline)
 		total += 8 * n                   // per-row byte offsets
@@ -42,7 +34,7 @@ func (e *Engine) topologyStreamBytes() int64 {
 			total += 8 * (n + 1) // degree checks of the light/heavy split
 		}
 	} else {
-		total += 8*(n+1) + 4*Es
+		total += 8*(n+1) + 4*sp.NumEdges()
 	}
 	total += 4 * int64(len(sp.Heavy))
 	return total
@@ -78,26 +70,11 @@ func (e *Engine) BytesPerStep() int64 {
 		total += (2*W + 1) * vb * hubs // clear + merge reads + dst write
 	}
 
-	// Sparse block, by kernel.
+	// Sparse block: one random src read per edge, one dst write per row.
 	sp := &ih.Sparse
-	n := int64(ih.NumV) - int64(sp.DestLo)
-	if n <= 0 {
-		return total
-	}
-	Es := sp.NumEdges()
-	switch e.sparseKernel {
-	case SparsePB:
-		if e.pb == nil {
-			return total
-		}
-		segs := int64(len(e.pb.binCur))
-		total += vb * int64(ih.NumV) // sequential src sweep
-		total += 2 * 12 * Es         // bin writes + drain reads
-		total += 2 * 8 * segs        // cursor staging + reads
-		total += 2 * vb * n          // dst clear + accumulate
-	default:
-		total += vb * Es // random src reads
-		total += vb * n  // dst writes
+	if n := int64(ih.NumV) - int64(sp.DestLo); n > 0 {
+		total += vb * sp.NumEdges()
+		total += vb * n
 	}
 	return total
 }
@@ -114,8 +91,7 @@ func (e *Engine) TopologyBytesPerStep() int64 { return e.topologyStreamBytes() }
 // resident in memory to run: always the per-block index arrays (the
 // schedulers read per-row edge counts under either encoding), plus the
 // flat adjacency or the encoded chunks with the sparse row offsets,
-// plus the degree buckets and the propagation-blocked kernel's
-// transposed arrays when configured. Vertex data and hub buffers are
+// plus the degree buckets. Vertex data and hub buffers are
 // excluded — they scale with NumV, not with the topology
 // representation this measures.
 func (e *Engine) ResidentTopologyBytes() int64 {
@@ -142,11 +118,5 @@ func (e *Engine) ResidentTopologyBytes() int64 {
 		}
 	}
 	total += 4 * int64(len(sp.Heavy))
-	if e.pb != nil {
-		total += 8 * int64(len(e.pb.pushIndex))
-		total += 4 * int64(len(e.pb.pushRows))
-		total += 12 * int64(len(e.pb.binRows)) // binRows + binVals
-		total += 8 * int64(len(e.pb.binOff)+len(e.pb.binCur))
-	}
 	return total
 }

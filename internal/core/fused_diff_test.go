@@ -14,7 +14,7 @@ import (
 )
 
 // The differential tests below pin the fused single-dispatch pipeline
-// to the phased three-dispatch pipeline and to the spmv.Pull baseline
+// and its AtomicFlipped ablation to the spmv.Pull baseline
 // BIT-FOR-BIT. Exact float equality across schedules is only
 // meaningful when every partial sum is exact, so sources are small
 // integer-valued floats: all sums stay integers far below 2^53 and
@@ -80,11 +80,10 @@ func stepOldSpace(ih *IHTL, e *Engine, srcOld []float64) []float64 {
 	return dstOld
 }
 
-// TestStepDifferentialFusedPhasedPull checks that the fused pipeline,
-// the phased pipeline, the AtomicFlipped ablation of each, and the
-// spmv.Pull baseline produce bit-identical dst vectors across graphs
-// and worker counts.
-func TestStepDifferentialFusedPhasedPull(t *testing.T) {
+// TestStepDifferentialFusedPull checks that the fused pipeline, its
+// AtomicFlipped ablation, and the spmv.Pull baseline produce
+// bit-identical dst vectors across graphs and worker counts.
+func TestStepDifferentialFusedPull(t *testing.T) {
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	for name, g := range diffGraphs(t) {
 		src := integerVec(1234, g.NumV)
@@ -110,18 +109,13 @@ func TestStepDifferentialFusedPhasedPull(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, opt := range []EngineOptions{
-					{},
-					{Phased: true},
-					{AtomicFlipped: true},
-					{AtomicFlipped: true, Phased: true},
-				} {
+				for _, opt := range []EngineOptions{{}, {AtomicFlipped: true}} {
 					e, err := NewEngineOpts(ih, pool, opt)
 					if err != nil {
 						t.Fatal(err)
 					}
 					got := stepOldSpace(ih, e, src)
-					label := fmt.Sprintf("phased=%v atomic=%v", opt.Phased, opt.AtomicFlipped)
+					label := fmt.Sprintf("atomic=%v", opt.AtomicFlipped)
 					requireBitIdentical(t, label, want, got)
 					// A second Step re-using the engine must be just as
 					// exact: it proves buffers, dirty ranges, and gates
@@ -168,17 +162,12 @@ func TestStepDifferentialSignedZero(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opt := range []EngineOptions{
-			{},
-			{Phased: true},
-			{AtomicFlipped: true},
-			{AtomicFlipped: true, Phased: true},
-		} {
+		for _, opt := range []EngineOptions{{}, {AtomicFlipped: true}} {
 			e, err := NewEngineOpts(ih, pool, opt)
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := fmt.Sprintf("%s/phased=%v atomic=%v", name, opt.Phased, opt.AtomicFlipped)
+			label := fmt.Sprintf("%s/atomic=%v", name, opt.AtomicFlipped)
 			requireBitIdentical(t, label, want, stepOldSpace(ih, e, src))
 		}
 	}
@@ -228,30 +217,30 @@ func FuzzStepDifferential(f *testing.F) {
 			t.Fatal(err)
 		}
 		requireBitIdentical(t, "fused", want, stepOldSpace(ih, fused, src))
-		phased, err := NewEngineOpts(ih, pool, EngineOptions{Phased: true})
+		atomic, err := NewEngineOpts(ih, pool, EngineOptions{AtomicFlipped: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireBitIdentical(t, "phased", want, stepOldSpace(ih, phased, src))
+		requireBitIdentical(t, "atomic", want, stepOldSpace(ih, atomic, src))
 		degree, err := NewEngineOpts(ih, pool, EngineOptions{SparseKernel: SparsePullDegree})
 		if err != nil {
 			t.Fatal(err)
 		}
 		requireBitIdentical(t, "pull-degree", want, stepOldSpace(ih, degree, src))
-		pb, err := NewEngineOpts(ih, pool, EngineOptions{SparseKernel: SparsePB})
+		pull, err := NewEngineOpts(ih, pool, EngineOptions{SparseKernel: SparsePull})
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireBitIdentical(t, "pb", want, stepOldSpace(ih, pb, src))
+		requireBitIdentical(t, "pull", want, stepOldSpace(ih, pull, src))
 
 		// Second pass with signed values and -0.0 entries: the skip
 		// predicates must keep every engine bit-identical (see signedVec).
 		srcSigned := signedVec(seed^0x5a5a, g.NumV)
 		pe.Step(srcSigned, want)
 		requireBitIdentical(t, "fused signed", want, stepOldSpace(ih, fused, srcSigned))
-		requireBitIdentical(t, "phased signed", want, stepOldSpace(ih, phased, srcSigned))
+		requireBitIdentical(t, "atomic signed", want, stepOldSpace(ih, atomic, srcSigned))
 		requireBitIdentical(t, "pull-degree signed", want, stepOldSpace(ih, degree, srcSigned))
-		requireBitIdentical(t, "pb signed", want, stepOldSpace(ih, pb, srcSigned))
+		requireBitIdentical(t, "pull signed", want, stepOldSpace(ih, pull, srcSigned))
 	})
 }
 

@@ -31,7 +31,6 @@ func TestConcurrentEngineConstruction(t *testing.T) {
 		{BlockEncoding: EncodingVarint},
 		{SparseKernel: SparsePullDegree},
 		{BlockEncoding: EncodingVarint, SparseKernel: SparsePullDegree},
-		{SparseKernel: SparsePB},
 		{},
 	}
 	src := integerVec(6, g.NumV)

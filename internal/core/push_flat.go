@@ -6,8 +6,8 @@ import (
 )
 
 // The flat (uncompressed) flipped-push kernels: one encoded task's
-// worth of src[s] -> hub scatter, shared by the fused workers and the
-// phased ablation so the inner loop exists exactly once per shape.
+// worth of src[s] -> hub scatter, shared by the scalar and sharded
+// workers so the inner loop exists exactly once per shape.
 // These are the Algorithm 3 lines 1-4 inner loops; together with
 // their varint twins in encoding.go they are //ihtl:nobce — the
 // ihtlvet -bce gate pins them free of per-edge bounds checks, which
@@ -72,28 +72,6 @@ func pushTaskFlatBatch(k int, bt *blockTask, fb *FlippedBlock, src, buf []float6
 			db := int(unchecked.At(dsts, int(i))) * k
 			for j, x := range xs {
 				unchecked.AddAt(buf, db+j, x)
-			}
-		}
-	}
-}
-
-// pushTaskFlatAtomicBatch is pushTaskFlatAtomic with K-wide lanes.
-//
-//ihtl:noalloc
-//ihtl:nobce
-//ihtl:noescape
-func pushTaskFlatAtomicBatch(k int, bt *blockTask, fb *FlippedBlock, src, dst []float64) {
-	idx, dsts := fb.Index, fb.Dsts
-	for s := bt.lo; s < bt.hi; s++ {
-		xs := unchecked.SliceAt(src, s*k, k)
-		if spmv.SkipZeroLanes(xs) {
-			continue
-		}
-		end := unchecked.At(idx, s+1)
-		for i := unchecked.At(idx, s); i < end; i++ {
-			db := int(unchecked.At(dsts, int(i))) * k
-			for j, x := range xs {
-				spmv.AtomicAddFloat64(unchecked.PtrAt(dst, db+j), x)
 			}
 		}
 	}

@@ -6,8 +6,8 @@ package core
 // buckets — so each shard's per-phase destination working set is sized
 // to ITS vertex range, not the whole graph's), and the cross-shard
 // edges are routed into one push-direction exchange CSR in the sharded
-// ID space. The exchange is drained at step time with exactly the
-// propagation-blocked (pb) bin/drain discipline of sparse.go, which is
+// ID space. The exchange is drained at step time with a
+// propagation-blocking bin/drain discipline (Balaji & Lucia), which is
 // what makes sharded execution deterministic by construction; see
 // sharded.go for the runtime and DESIGN.md §15 for the argument.
 //
@@ -61,8 +61,8 @@ type ShardedIHTL struct {
 	// the inverse.
 	NewID, OldID []graph.VID
 	// HubsPerBlock is the maximum resolved B across shards; the
-	// exchange sizes its destination buckets from it, mirroring the
-	// pb kernel's §3.4 cache budget.
+	// exchange sizes its destination buckets from it (the §3.4 cache
+	// budget).
 	HubsPerBlock int
 }
 
@@ -200,7 +200,7 @@ func extractShardGraph(g *graph.Graph, lo, hi int) *graph.Graph {
 // one push row per sharded-global source, destinations mapped to
 // sharded-global IDs and sorted ascending per source. Iterating
 // sources in sharded-global order makes the step-time bin sweep read
-// src sequentially, like the pb kernel's transposed CSR.
+// src sequentially.
 func (sg *ShardedIHTL) buildExchange(g *graph.Graph) {
 	n := sg.NumV
 	sg.XIndex = make([]int64, n+1)

@@ -2,10 +2,10 @@ package core
 
 // Sharded execution of Algorithm 3 (see shard.go for construction and
 // DESIGN.md §15 for the model): one SpMV step runs every shard's own
-// fused pipeline over its subvector, plus a cross-shard exchange with
-// exactly the pb kernel's bin/drain discipline.
+// fused pipeline over its subvector, plus a cross-shard exchange in
+// the propagation-blocking bin/drain discipline (Balaji & Lucia).
 //
-// Fused mode (the default) is ONE pool dispatch per step. The pool's
+// A step is ONE pool dispatch. The pool's
 // workers are cut into shard-affine groups (sched.ShardGroups): each
 // shard's sub-engine is sized for its group and its flipped/sparse
 // work is claimed only inside the group, so the shard's hub buffers
@@ -25,8 +25,7 @@ package core
 //  5. runs the shared epilogue/health sweep, as in Engine.runEpilogue.
 //
 // Determinism. Inside a shard, the sub-engine's own argument applies
-// unchanged. For the exchange, the pb construction carries over: each
-// (chunk, bucket) segment has exact capacity and is appended in
+// unchanged. For the exchange, each (chunk, bucket) segment has exact capacity and is appended in
 // ascending source order, and a bucket's drain replays segments in
 // ascending chunk order — so each destination row's cross-shard
 // contributions arrive in ascending sharded-source order no matter
@@ -37,11 +36,6 @@ package core
 // regroups each row's sum into local-then-cross — which is the same
 // integer-valued regime the repository's differential suites pin; see
 // DESIGN.md §15.)
-//
-// Phased mode (EngineOptions.Phased) runs each shard's three-dispatch
-// pipeline over the full pool sequentially, then the exchange bin and
-// drain as two more dispatches — the ablation shape, kept for the
-// same reason Engine keeps stepPhased.
 
 import (
 	"context"
@@ -54,14 +48,14 @@ import (
 	"ihtl/internal/unchecked"
 )
 
-// xState is the preallocated cross-shard exchange state: the pbState
-// shape (see sparse.go) over the sharded-global ID space. Sized
-// exactly at engine construction; a step touches it without
-// allocating.
+// xState is the preallocated cross-shard exchange state over the
+// sharded-global ID space. Sized exactly at engine construction; a
+// step touches it without allocating.
 type xState struct {
-	// Rows per destination bucket is 1 << shift, from the max resolved
-	// HubsPerBlock across shards (the §3.4 cache budget), floored like
-	// pbState's. Buckets tile the whole sharded-global range; a bucket
+	// Rows per destination bucket is 1 << shift: the max resolved
+	// HubsPerBlock across shards (the §3.4 cache budget), at least 256,
+	// rounded down to a power of two so the bin inner loop buckets by
+	// shift instead of division. Buckets tile the whole sharded-global range; a bucket
 	// may straddle a shard boundary, which is sound because the drain
 	// only ADDS to rows the local pipelines already wrote.
 	shift      uint
@@ -73,9 +67,13 @@ type xState struct {
 	// chunkBounds are numChunks+1 edge-balanced sharded-global source
 	// boundaries; a bin worker claims whole chunks.
 	chunkBounds []int
-	// binOff/binCur/binRows/binVals are the exact-capacity bucket-major
-	// segments, exactly as in pbState (segment of chunk c, bucket b at
-	// b*numChunks+c; cursors staged per chunk at claim time).
+	// binOff holds the numBuckets*numChunks+1 offsets of the
+	// exact-capacity segments, bucket-major (segment of chunk c, bucket
+	// b at b*numChunks+c) so a drained bucket reads contiguous memory.
+	// binCur is the running cursor, staged per chunk at claim time:
+	// sources skipped as +0.0 leave tail slots unused, so the drain
+	// reads up to the cursor, not the next offset. binRows/binVals are
+	// the binned (row, contribution) pairs.
 	binOff  []int64
 	binCur  []int64
 	binRows []uint32
@@ -132,13 +130,11 @@ type xClock struct {
 // variants), in sharded-global ID space; use ShardedIHTL.NewID/OldID
 // or its Permute helpers to move vectors between ID spaces.
 type ShardedEngine struct {
-	sg     *ShardedIHTL
-	pool   *sched.Pool
-	phased bool
+	sg   *ShardedIHTL
+	pool *sched.Pool
 
-	// engs are the per-shard sub-engines. In fused mode each is sized
-	// for its shard-affine worker group (groups); in phased mode each
-	// is a full-pool engine stepped sequentially.
+	// engs are the per-shard sub-engines, each sized for its
+	// shard-affine worker group (groups).
 	engs   []*Engine
 	groups *sched.ShardGroups
 
@@ -157,9 +153,6 @@ type ShardedEngine struct {
 	curSrc, curDst []float64
 	curEpi         func(w, lo, hi int)
 	epiBarrier     *sched.Barrier
-	phasedEpiJob   func(w int)
-	phasedBinJob   func(w, c int)
-	phasedDrainJob func(w, b int)
 
 	// batchK is the staged batch width; xBinVals are the K-wide bin
 	// contributions (slot p's lanes at [p*k, (p+1)*k)), allocated on a
@@ -168,12 +161,11 @@ type ShardedEngine struct {
 	xBinVals []float64
 
 	// Numeric-health watchdog state, as in Engine.
-	health        spmv.HealthPolicy
-	healthArmed   bool
-	healthBad     []healthSlot
-	healthErr     *spmv.NumericError
-	curK          int
-	healthScanJob func(w, lo, hi int)
+	health      spmv.HealthPolicy
+	healthArmed bool
+	healthBad   []healthSlot
+	healthErr   *spmv.NumericError
+	curK        int
 
 	breakdown Breakdown
 }
@@ -185,30 +177,23 @@ func NewShardedEngine(sg *ShardedIHTL, pool *sched.Pool) (*ShardedEngine, error)
 
 // NewShardedEngineOpts is NewShardedEngine with explicit options. The
 // options apply per shard (AtomicFlipped, SparseKernel, BlockEncoding
-// select every sub-engine's pipeline; Phased selects the sequential
-// ablation); Health is handled at the sharded level so the watchdog
+// select every sub-engine's pipeline); Health is handled at the sharded level so the watchdog
 // scans the complete destination vector once. EngineOptions.Shards is
 // ignored here — the shard count is the graph's.
 func NewShardedEngineOpts(sg *ShardedIHTL, pool *sched.Pool, opt EngineOptions) (*ShardedEngine, error) {
 	if sg == nil || pool == nil {
 		return nil, fmt.Errorf("core: nil ShardedIHTL or pool")
 	}
-	se := &ShardedEngine{sg: sg, pool: pool, phased: opt.Phased, health: opt.Health}
+	se := &ShardedEngine{sg: sg, pool: pool, health: opt.Health}
 	w := pool.Workers()
 	n := sg.NumShards()
 	subOpt := opt
 	subOpt.Health = spmv.HealthPolicy{}
 	subOpt.Shards = 0
 	se.engs = make([]*Engine, n)
-	if !se.phased {
-		se.groups = sched.NewShardGroups(w, n)
-	}
+	se.groups = sched.NewShardGroups(w, n)
 	for s := 0; s < n; s++ {
-		nw := w
-		if se.groups != nil {
-			nw = se.groups.Size(s)
-		}
-		sub, err := newEngineWorkers(sg.Shards[s], pool, subOpt, nw)
+		sub, err := newEngineWorkers(sg.Shards[s], pool, subOpt, se.groups.Size(s))
 		if err != nil {
 			return nil, fmt.Errorf("core: shard %d engine: %w", s, err)
 		}
@@ -224,32 +209,7 @@ func NewShardedEngineOpts(sg *ShardedIHTL, pool *sched.Pool, opt EngineOptions) 
 	se.epiBarrier = sched.NewBarrier(w)
 	se.fusedJob = se.fusedWorker
 	se.batchJob = se.batchWorker
-	se.phasedEpiJob = func(worker int) {
-		lo, hi := sched.SplitRange(se.sg.NumV, se.pool.Workers(), worker)
-		se.curEpi(worker, lo, hi)
-	}
-	se.phasedBinJob = func(worker, c int) {
-		faultinject.Fire(faultinject.SiteShardPush)
-		t0 := time.Now()
-		if se.curK == 1 {
-			se.xBinChunk(c, se.curSrc)
-		} else {
-			se.xBinChunkBatch(c, se.curSrc)
-		}
-		se.xClocks[worker].bin += time.Since(t0)
-	}
-	se.phasedDrainJob = func(worker, b int) {
-		faultinject.Fire(faultinject.SiteShardExchange)
-		t0 := time.Now()
-		if se.curK == 1 {
-			se.xDrainBucket(b, se.curDst)
-		} else {
-			se.xDrainBucketBatch(b, se.curDst)
-		}
-		se.xClocks[worker].drain += time.Since(t0)
-	}
 	se.healthBad = make([]healthSlot, w)
-	se.healthScanJob = se.healthScan
 	se.curK = 1
 	se.batchK = 1
 	return se, nil
@@ -302,25 +262,9 @@ func (se *ShardedEngine) stepEpi(src, dst []float64, epi func(w, lo, hi int)) *s
 		panic("core: vector length mismatch")
 	}
 	se.armHealth(1)
-	if se.phased {
-		se.stepPhased(src, dst)
-		if se.healthArmed {
-			se.curDst = dst
-			se.pool.ForStatic(se.sg.NumV, se.healthScanJob)
-			se.curDst = nil
-		}
-		if epi != nil {
-			start := time.Now()
-			se.curEpi = epi
-			se.pool.Run(se.phasedEpiJob)
-			se.curEpi = nil
-			se.breakdown.Wall += time.Since(start)
-		}
-	} else {
-		se.curEpi = epi
-		se.stepFused(src, dst)
-		se.curEpi = nil
-	}
+	se.curEpi = epi
+	se.stepFused(src, dst)
+	se.curEpi = nil
 	se.breakdown.Steps++
 	return se.collectHealth()
 }
@@ -352,7 +296,7 @@ func (se *ShardedEngine) StepEpiCtx(ctx context.Context, src, dst []float64, epi
 // after an aborted step: every sub-engine's buffers and barriers, plus
 // the exchange barrier and the epilogue barrier. The exchange bin
 // cursors need no recovery — every chunk re-stages its cursors at
-// claim time, like the pb kernel's.
+// claim time.
 func (se *ShardedEngine) recoverState() {
 	for _, sub := range se.engs {
 		sub.recoverState()
@@ -540,12 +484,13 @@ func (se *ShardedEngine) binWorker(w int, src []float64) {
 	}
 }
 
-// xBinChunk is pbBinChunk over the exchange CSR: stage the chunk's
-// bucket cursors, then sweep its sharded-global sources in ascending
-// order appending (row, x) pairs. Skipping +0.0 sources is
-// bit-transparent by the sparse.go argument — a skipped contribution
-// adds +0.0 to a dst element that is never -0.0 (local sums are
-// seeded with +0.0).
+// xBinChunk bins exchange chunk c: stage the chunk's bucket cursors,
+// then sweep its sharded-global sources in ascending order appending
+// (row, x) pairs. The sweep reads src sequentially and each append
+// lands at a bucket cursor. Skipping +0.0 sources is bit-transparent
+// — a skipped contribution adds +0.0 to a dst element that is never
+// -0.0 (local sums are seeded with +0.0), and x + (+0.0) == x for
+// every other x.
 //
 //ihtl:noalloc
 //ihtl:nobce
@@ -595,7 +540,7 @@ func (se *ShardedEngine) drainWorker(w int, dst []float64) {
 }
 
 // xDrainBucket replays bucket b's segments in ascending chunk order,
-// ADDING onto dst — unlike pbDrainBucket there is no zeroing, because
+// ADDING onto dst — there is no zeroing, because
 // every dst element was already written by its shard's local pipeline
 // (merges cover the hub range, the sparse kernels write every non-hub
 // row unconditionally). The bucket's rows fit the §3.4 cache budget,
@@ -619,20 +564,15 @@ func (se *ShardedEngine) xDrainBucket(b int, dst []float64) {
 }
 
 // harvest folds the sub-engines' per-worker phase clocks (already
-// gathered into their breakdowns by unstageFused or stepPhased) and
-// the exchange clocks into the sharded breakdown. Sub-engine Wall and
-// Steps are dropped — the sharded engine records its own.
+// gathered into their breakdowns by unstageFused) and the exchange
+// clocks into the sharded breakdown. Sub-engine Wall and Steps are
+// dropped — the sharded engine records its own.
 func (se *ShardedEngine) harvest() {
 	for _, sub := range se.engs {
 		b := sub.TakeBreakdown()
-		se.breakdown.Flipped += b.Flipped
-		se.breakdown.Merge += b.Merge
-		se.breakdown.Sparse += b.Sparse
 		se.breakdown.FlippedBusy += b.FlippedBusy
 		se.breakdown.MergeBusy += b.MergeBusy
 		se.breakdown.SparseBusy += b.SparseBusy
-		se.breakdown.BinBusy += b.BinBusy
-		se.breakdown.DrainBusy += b.DrainBusy
 	}
 	for w := range se.xClocks {
 		c := &se.xClocks[w]
@@ -640,23 +580,4 @@ func (se *ShardedEngine) harvest() {
 		se.breakdown.ExchangeDrainBusy += c.drain
 		*c = xClock{}
 	}
-}
-
-// stepPhased is the sequential ablation: every shard's phased pipeline
-// over the full pool, then the exchange bin and drain as two more
-// dispatches (the dispatch boundary is the bin/drain barrier).
-func (se *ShardedEngine) stepPhased(src, dst []float64) {
-	start := time.Now()
-	for s, sub := range se.engs {
-		lo, hi := se.sg.Bounds[s], se.sg.Bounds[s+1]
-		sub.stepPhased(src[lo:hi], dst[lo:hi])
-	}
-	if se.x != nil {
-		se.curSrc, se.curDst = src, dst
-		se.pool.ForEachPart(se.x.numChunks, se.phasedBinJob)
-		se.pool.ForEachPart(se.x.numBuckets, se.phasedDrainJob)
-		se.curSrc, se.curDst = nil, nil
-	}
-	se.harvest()
-	se.breakdown.Wall += time.Since(start)
 }

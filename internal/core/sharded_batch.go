@@ -5,7 +5,7 @@ package core
 // exchange under one dispatch, mirroring engine_batch.go. The exchange
 // reuses the scalar xState's offsets, cursors and row array; only the
 // binned contributions are K-wide (xBinVals, slot p's lanes at
-// [p*k, (p+1)*k)), exactly the scalar/batch split pbState uses.
+// [p*k, (p+1)*k)).
 
 import (
 	"context"
@@ -63,25 +63,9 @@ func (se *ShardedEngine) stepBatchEpi(src, dst []float64, k int, epi func(w, lo,
 	}
 	se.ensureBatch(k)
 	se.armHealth(k)
-	if se.phased {
-		se.stepPhasedBatch(src, dst)
-		if se.healthArmed {
-			se.curDst = dst
-			se.pool.ForStatic(se.sg.NumV, se.healthScanJob)
-			se.curDst = nil
-		}
-		if epi != nil {
-			start := time.Now()
-			se.curEpi = epi
-			se.pool.Run(se.phasedEpiJob)
-			se.curEpi = nil
-			se.breakdown.Wall += time.Since(start)
-		}
-	} else {
-		se.curEpi = epi
-		se.stepFusedBatch(src, dst)
-		se.curEpi = nil
-	}
+	se.curEpi = epi
+	se.stepFusedBatch(src, dst)
+	se.curEpi = nil
 	se.breakdown.Steps++
 	return se.collectHealth()
 }
@@ -249,24 +233,4 @@ func (se *ShardedEngine) xDrainBucketBatch(b int, dst []float64) {
 			}
 		}
 	}
-}
-
-// stepPhasedBatch is stepPhased with K-wide lanes: every shard's
-// phased batch pipeline sequentially, then the K-wide exchange bin and
-// drain dispatches (the phased part jobs switch on the staged width).
-func (se *ShardedEngine) stepPhasedBatch(src, dst []float64) {
-	start := time.Now()
-	k := se.batchK
-	for s, sub := range se.engs {
-		lo, hi := se.sg.Bounds[s]*k, se.sg.Bounds[s+1]*k
-		sub.stepPhasedBatch(sub.batch, src[lo:hi], dst[lo:hi])
-	}
-	if se.x != nil {
-		se.curSrc, se.curDst = src, dst
-		se.pool.ForEachPart(se.x.numChunks, se.phasedBinJob)
-		se.pool.ForEachPart(se.x.numBuckets, se.phasedDrainJob)
-		se.curSrc, se.curDst = nil, nil
-	}
-	se.harvest()
-	se.breakdown.Wall += time.Since(start)
 }

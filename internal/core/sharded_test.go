@@ -30,24 +30,23 @@ func shardedStepOldSpace(se *ShardedEngine, srcOld []float64) []float64 {
 }
 
 // shardedDiffOptions is the engine-config axis of the sharded
-// differential: both pipelines, the atomic ablation, every sparse
+// differential: the fused pipeline, the atomic ablation, every sparse
 // kernel, and both block encodings.
 func shardedDiffOptions() map[string]EngineOptions {
 	return map[string]EngineOptions{
-		"fused":       {},
-		"phased":      {Phased: true},
-		"atomic":      {AtomicFlipped: true},
-		"pull-degree": {SparseKernel: SparsePullDegree},
-		"pb":          {SparseKernel: SparsePB},
-		"varint":      {BlockEncoding: EncodingVarint},
-		"pb-varint":   {SparseKernel: SparsePB, BlockEncoding: EncodingVarint},
+		"fused":              {},
+		"atomic":             {AtomicFlipped: true},
+		"pull":               {SparseKernel: SparsePull},
+		"pull-degree":        {SparseKernel: SparsePullDegree},
+		"varint":             {BlockEncoding: EncodingVarint},
+		"pull-degree-varint": {SparseKernel: SparsePullDegree, BlockEncoding: EncodingVarint},
 	}
 }
 
 // TestShardedStepDifferential pins sharded execution (N ∈ {2, 4}) to
 // the spmv.Pull baseline — and therefore to the unsharded engine,
 // which the fused differential pins to the same baseline — bit-for-bit
-// across graphs, worker counts, pipelines, sparse kernels and block
+// across graphs, worker counts, flipped modes, sparse kernels and block
 // encodings, for integer sources and for signed sources containing
 // -0.0 (the zero-skip bit-transparency regime; see signedVec).
 func TestShardedStepDifferential(t *testing.T) {
@@ -98,7 +97,8 @@ func TestShardedStepDifferential(t *testing.T) {
 
 // TestShardedStepBatchDifferential pins the K-wide sharded step: lane j
 // of a StepBatch must be bit-identical to a scalar sharded Step of lane
-// j's source, for both pipelines and the pb kernel.
+// j's source — on default engines, varint ones, and AtomicFlipped ones,
+// whose StepBatch runs the buffered batch pipeline.
 func TestShardedStepBatchDifferential(t *testing.T) {
 	const k = 3
 	for name, g := range diffGraphs(t) {
@@ -118,8 +118,8 @@ func TestShardedStepBatchDifferential(t *testing.T) {
 		}
 		for optName, opt := range map[string]EngineOptions{
 			"fused":  {},
-			"phased": {Phased: true},
-			"pb":     {SparseKernel: SparsePB},
+			"varint": {BlockEncoding: EncodingVarint},
+			"atomic": {AtomicFlipped: true},
 		} {
 			se, err := NewShardedEngineOpts(sg, pool, opt)
 			if err != nil {

@@ -1,52 +1,31 @@
 package core
 
 // K-wide (StepBatch) variants of the sparse kernels in sparse.go. The
-// schedule state is shared with the scalar path — same chunk bounds,
-// same segment offsets and cursors, same heavy/light parts — only the
-// contributions are K lanes wide: bin slot p's lanes live at
-// batchState.binVals[p*k : (p+1)*k], mirroring the vertex-major
-// interleave of the vectors themselves. The determinism argument of
-// sparse.go applies per lane unchanged.
+// schedule state is shared with the scalar path — same uniform parts,
+// same heavy/light parts — only the partial sums are K lanes wide, in
+// dst's contiguous lane rows. The determinism argument of sparse.go
+// applies per lane unchanged.
 
 import (
 	"time"
 
 	"ihtl/internal/faultinject"
-	"ihtl/internal/spmv"
 )
 
 // sparseWorkerBatch is sparseWorker with K-wide lanes: it runs worker
 // w's share of the configured sparse kernel and records the same
-// per-phase clocks.
+// sparse busy time.
 //
 //ihtl:noalloc
 func (e *Engine) sparseWorkerBatch(b *batchState, w int, src, dst []float64) {
-	clk := &e.clocks[w]
-	switch e.sparseKernel {
-	case SparsePullDegree:
-		t0 := time.Now()
+	t0 := time.Now()
+	if e.sparseKernel == SparsePullDegree {
 		e.sparseHeavyWorkerBatch(b, w, src, dst)
 		e.sparseLightWorkerBatch(b, w, src, dst)
-		clk.sparse += time.Since(t0)
-	case SparsePB:
-		if e.pb == nil {
-			return
-		}
-		t0 := time.Now()
-		e.pbBinWorkerBatch(b, w, src)
-		t1 := time.Now()
-		clk.bin += t1.Sub(t0)
-		if !e.binBarrier.WaitAbort(e.pool) {
-			return
-		}
-		t2 := time.Now()
-		e.pbDrainWorkerBatch(b, w, dst)
-		clk.drain += time.Since(t2)
-	default:
-		t0 := time.Now()
+	} else {
 		e.sparsePullWorkerBatch(b, w, src, dst)
-		clk.sparse += time.Since(t0)
 	}
+	e.clocks[w].sparse += time.Since(t0)
 }
 
 // sparsePullWorkerBatch drains the baseline K-wide pull with partial
@@ -182,100 +161,6 @@ func (e *Engine) sparseLightPartBatch(k, p int, src, dst []float64) {
 		for jj := sp.Index[i]; jj < sp.Index[i+1]; jj++ {
 			sb := int(sp.Srcs[jj]) * k
 			xs := src[sb : sb+k : sb+k]
-			for j, x := range xs {
-				out[j] += x
-			}
-		}
-	}
-}
-
-// pbBinWorkerBatch claims source chunks for the K-wide bin phase.
-//
-//ihtl:noalloc
-func (e *Engine) pbBinWorkerBatch(b *batchState, w int, src []float64) {
-	for !e.pool.Aborted() {
-		lo, hi, ok := e.sparseSched.Next(w, 1)
-		if !ok {
-			return
-		}
-		faultinject.Fire(faultinject.SiteSparseBin)
-		for c := lo; c < hi; c++ {
-			e.pbBinChunkBatch(b, c, src)
-		}
-	}
-}
-
-// pbBinChunkBatch is pbBinChunk with K lanes copied per appended slot.
-// SkipZeroLanes skips a source only when ALL lanes are +0.0, which is
-// bit-transparent per lane by the sparse.go argument.
-//
-//ihtl:noalloc
-func (e *Engine) pbBinChunkBatch(bs *batchState, c int, src []float64) {
-	pb := e.pb
-	k := bs.k
-	C := pb.numChunks
-	for b := 0; b < pb.numBuckets; b++ {
-		pb.binCur[b*C+c] = pb.binOff[b*C+c]
-	}
-	shift := pb.shift
-	for s := pb.chunkBounds[c]; s < pb.chunkBounds[c+1]; s++ {
-		sb := s * k
-		xs := src[sb : sb+k : sb+k]
-		if spmv.SkipZeroLanes(xs) {
-			continue
-		}
-		for i := pb.pushIndex[s]; i < pb.pushIndex[s+1]; i++ {
-			row := pb.pushRows[i]
-			seg := int(row>>shift)*C + c
-			p := pb.binCur[seg]
-			pb.binRows[p] = row
-			vb := p * int64(k)
-			copy(bs.binVals[vb:vb+int64(k)], xs)
-			pb.binCur[seg] = p + 1
-		}
-	}
-}
-
-// pbDrainWorkerBatch claims whole destination buckets for the K-wide
-// drain phase.
-//
-//ihtl:noalloc
-func (e *Engine) pbDrainWorkerBatch(b *batchState, w int, dst []float64) {
-	for !e.pool.Aborted() {
-		lo, hi, ok := e.auxSched.Next(w, 1)
-		if !ok {
-			return
-		}
-		faultinject.Fire(faultinject.SiteSparseDrain)
-		for bkt := lo; bkt < hi; bkt++ {
-			e.pbDrainBucketBatch(b, bkt, dst)
-		}
-	}
-}
-
-// pbDrainBucketBatch is pbDrainBucket with K-wide accumulation.
-//
-//ihtl:noalloc
-func (e *Engine) pbDrainBucketBatch(bs *batchState, b int, dst []float64) {
-	pb := e.pb
-	sp := &e.ih.Sparse
-	k := bs.k
-	n := e.ih.NumV - sp.DestLo
-	rowLo := b << pb.shift
-	rowHi := rowLo + (1 << pb.shift)
-	if rowHi > n {
-		rowHi = n
-	}
-	base := sp.DestLo
-	clear(dst[(base+rowLo)*k : (base+rowHi)*k])
-	C := pb.numChunks
-	for c := 0; c < C; c++ {
-		seg := b*C + c
-		for p := pb.binOff[seg]; p < pb.binCur[seg]; p++ {
-			db := (base + int(pb.binRows[p])) * k
-			out := dst[db : db+k : db+k]
-			vb := p * int64(k)
-			xs := bs.binVals[vb : vb+int64(k) : vb+int64(k)]
 			for j, x := range xs {
 				out[j] += x
 			}

@@ -17,14 +17,12 @@ import (
 
 // sparseKernels is the ablation matrix: every selectable sparse kernel
 // must be bit-for-bit identical to the baseline pull.
-var sparseKernels = []SparseKernel{SparsePull, SparsePullDegree, SparsePB}
+var sparseKernels = []SparseKernel{SparsePull, SparsePullDegree}
 
-// TestSparseKernelDifferential pins all three sparse kernels — under
-// both the fused and the phased pipeline — bit-for-bit against the
-// spmv.Pull baseline, across graphs and worker counts. The PB kernel's
-// chunk-indexed segments and ascending-chunk drain make its result
-// schedule-independent (see sparse.go), so exact equality must hold at
-// every worker count.
+// TestSparseKernelDifferential pins both sparse kernels bit-for-bit
+// against the spmv.Pull baseline, across graphs and worker counts.
+// Each row is summed whole by one worker in ascending source order
+// (see sparse.go), so exact equality must hold at every worker count.
 func TestSparseKernelDifferential(t *testing.T) {
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	for name, g := range diffGraphs(t) {
@@ -52,19 +50,15 @@ func TestSparseKernelDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				for _, kernel := range sparseKernels {
-					for _, phased := range []bool{false, true} {
-						e, err := NewEngineOpts(ih, pool, EngineOptions{
-							SparseKernel: kernel, Phased: phased,
-						})
-						if err != nil {
-							t.Fatal(err)
-						}
-						label := fmt.Sprintf("kernel=%v phased=%v", kernel, phased)
-						requireBitIdentical(t, label, want, stepOldSpace(ih, e, src))
-						// Second step: cursors, schedulers and barriers must
-						// have been left re-armed by the first.
-						requireBitIdentical(t, label+" (second step)", want, stepOldSpace(ih, e, src))
+					e, err := NewEngineOpts(ih, pool, EngineOptions{SparseKernel: kernel})
+					if err != nil {
+						t.Fatal(err)
 					}
+					label := fmt.Sprintf("kernel=%v", kernel)
+					requireBitIdentical(t, label, want, stepOldSpace(ih, e, src))
+					// Second step: schedulers and gates must have been
+					// left re-armed by the first.
+					requireBitIdentical(t, label+" (second step)", want, stepOldSpace(ih, e, src))
 				}
 			})
 		}
@@ -72,9 +66,10 @@ func TestSparseKernelDifferential(t *testing.T) {
 }
 
 // TestSparseKernelSignedZero runs the differential with negative values
-// and -0.0 sources: the bin phase's SkipZero must keep the PB kernel —
-// and the standalone spmv.PropBlocked baseline — bit-identical to pull
-// (only +0.0, the additive identity, may be skipped; see signedVec).
+// and -0.0 sources: both sparse kernels — and the standalone
+// spmv.PropBlocked baseline, whose bin phase skips zeros — must stay
+// bit-identical to pull (only +0.0, the additive identity, may be
+// skipped; see signedVec).
 func TestSparseKernelSignedZero(t *testing.T) {
 	for name, g := range diffGraphs(t) {
 		src := signedVec(31, g.NumV)
@@ -127,41 +122,40 @@ func TestSparseKernelBatchDifferential(t *testing.T) {
 		pool := sched.NewPool(3)
 		defer pool.Close()
 		for _, kernel := range sparseKernels {
-			for _, phased := range []bool{false, true} {
-				e, err := NewEngineOpts(ih, pool, EngineOptions{
-					SparseKernel: kernel, Phased: phased,
+			e, err := NewEngineOpts(ih, pool, EngineOptions{SparseKernel: kernel})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, k := range []int{2, 4} {
+				// The "phased=false" segment names the fused pipeline the
+				// way it was named while a phased one existed, so subtest
+				// names stay comparable across that removal.
+				label := fmt.Sprintf("%s/kernel=%v phased=false/k%d", name, kernel, k)
+				t.Run(label, func(t *testing.T) {
+					lanes, src := packLanes(99, ih.NumV, k)
+					want := make([][]float64, k)
+					for j := 0; j < k; j++ {
+						want[j] = make([]float64, ih.NumV)
+						e.Step(lanes[j], want[j])
+					}
+					dst := make([]float64, ih.NumV*k)
+					e.StepBatch(src, dst, k)
+					got := make([]float64, ih.NumV)
+					for j := 0; j < k; j++ {
+						for v := 0; v < ih.NumV; v++ {
+							got[v] = dst[v*k+j]
+						}
+						requireBitIdentical(t, fmt.Sprintf("lane %d", j), want[j], got)
+					}
 				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, k := range []int{2, 4} {
-					label := fmt.Sprintf("%s/kernel=%v phased=%v/k%d", name, kernel, phased, k)
-					t.Run(label, func(t *testing.T) {
-						lanes, src := packLanes(99, ih.NumV, k)
-						want := make([][]float64, k)
-						for j := 0; j < k; j++ {
-							want[j] = make([]float64, ih.NumV)
-							e.Step(lanes[j], want[j])
-						}
-						dst := make([]float64, ih.NumV*k)
-						e.StepBatch(src, dst, k)
-						got := make([]float64, ih.NumV)
-						for j := 0; j < k; j++ {
-							for v := 0; v < ih.NumV; v++ {
-								got[v] = dst[v*k+j]
-							}
-							requireBitIdentical(t, fmt.Sprintf("lane %d", j), want[j], got)
-						}
-					})
-				}
 			}
 		}
 	}
 }
 
 // TestSparseKernelAllocationFree pins the zero-allocation steady state
-// of the degree-aware and propagation-blocked kernels: after warm-up,
-// neither Step nor a stable-width StepBatch allocates.
+// of both sparse kernels: after warm-up, neither Step nor a
+// stable-width StepBatch allocates.
 func TestSparseKernelAllocationFree(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 5))
 	if err != nil {
@@ -172,7 +166,7 @@ func TestSparseKernelAllocationFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	const k = 4
-	for _, kernel := range []SparseKernel{SparsePullDegree, SparsePB} {
+	for _, kernel := range sparseKernels {
 		e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: kernel})
 		if err != nil {
 			t.Fatal(err)
@@ -217,13 +211,10 @@ func TestPropBlockedStepAllocFree(t *testing.T) {
 }
 
 // TestSparseKernelCancelThenCleanStep drives randomised cancellation
-// through the PB kernel's two-phase path: aborts can land before the
-// bin barrier, inside it, or during the drain, and the engine must
-// recover to exact results on the next clean step. The barrier's
-// WaitAbort is what makes an abort during phase 1 release the workers
-// parked on it.
+// through both sparse kernels' claim loops: the engine must recover to
+// exact results on the next clean step.
 func TestSparseKernelCancelThenCleanStep(t *testing.T) {
-	for _, kernel := range []SparseKernel{SparsePullDegree, SparsePB} {
+	for _, kernel := range sparseKernels {
 		e, _ := faultTestEngine(t, EngineOptions{SparseKernel: kernel})
 		n := e.NumVertices()
 		src := randomSrc(n, 77)
@@ -247,17 +238,16 @@ func TestSparseKernelCancelThenCleanStep(t *testing.T) {
 	}
 }
 
-// TestSparseKernelInjectedPanicRecovery injects panics at the new bin
-// and drain sites (and the shared sparse-part site of the degree-aware
-// schedule): the panic must surface as *sched.PanicError unwrapping to
+// TestSparseKernelInjectedPanicRecovery injects panics at the
+// sparse-part site of both sparse schedules: the panic must surface as *sched.PanicError unwrapping to
 // the injected fault, and the very next clean step must match.
 func TestSparseKernelInjectedPanicRecovery(t *testing.T) {
 	cases := []struct {
 		kernel SparseKernel
 		sites  []faultinject.Site
 	}{
+		{SparsePull, []faultinject.Site{faultinject.SiteSparsePart}},
 		{SparsePullDegree, []faultinject.Site{faultinject.SiteSparsePart}},
-		{SparsePB, []faultinject.Site{faultinject.SiteSparseBin, faultinject.SiteSparseDrain}},
 	}
 	for _, tc := range cases {
 		e, _ := faultTestEngine(t, EngineOptions{SparseKernel: tc.kernel})
@@ -423,7 +413,7 @@ func TestParseSparseKernel(t *testing.T) {
 		want SparseKernel
 	}{
 		{"", SparseAuto}, {"auto", SparseAuto}, {"pull", SparsePull},
-		{"pull-degree", SparsePullDegree}, {"pb", SparsePB},
+		{"pull-degree", SparsePullDegree},
 	} {
 		got, err := ParseSparseKernel(tc.in)
 		if err != nil || got != tc.want {
@@ -433,57 +423,9 @@ func TestParseSparseKernel(t *testing.T) {
 			t.Fatalf("String round trip: %v -> %q", got, got.String())
 		}
 	}
-	if _, err := ParseSparseKernel("bogus"); err == nil {
-		t.Fatal("ParseSparseKernel accepted a bogus kernel")
-	}
-}
-
-// TestSparseKernelBreakdownSplit checks the new clock split: the PB
-// kernel reports its busy time under BinBusy/DrainBusy (SparseBusy
-// stays zero), pull kernels under SparseBusy, and both feed
-// SparseTotalBusy and TotalBusy.
-func TestSparseKernelBreakdownSplit(t *testing.T) {
-	g, err := gen.Web(gen.DefaultWeb(4000, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ih, err := Build(g, Params{HubsPerBlock: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := integerVec(2, g.NumV)
-	dst := make([]float64, g.NumV)
-
-	pb, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		pb.Step(src, dst)
-	}
-	b := pb.TakeBreakdown()
-	if b.BinBusy <= 0 || b.DrainBusy <= 0 {
-		t.Fatalf("PB clocks not split: bin %v drain %v", b.BinBusy, b.DrainBusy)
-	}
-	if b.SparseBusy != 0 {
-		t.Fatalf("PB kernel charged %v to SparseBusy", b.SparseBusy)
-	}
-	if b.SparseTotalBusy() != b.BinBusy+b.DrainBusy {
-		t.Fatal("SparseTotalBusy does not sum the phase clocks")
-	}
-
-	pd, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: SparsePullDegree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		pd.Step(src, dst)
-	}
-	b = pd.TakeBreakdown()
-	if b.SparseBusy <= 0 {
-		t.Fatal("degree-aware pull recorded no sparse busy time")
-	}
-	if b.BinBusy != 0 || b.DrainBusy != 0 {
-		t.Fatalf("pull kernel charged bin/drain clocks: %v/%v", b.BinBusy, b.DrainBusy)
+	for _, bad := range []string{"bogus", "pb"} {
+		if _, err := ParseSparseKernel(bad); err == nil {
+			t.Fatalf("ParseSparseKernel accepted %q", bad)
+		}
 	}
 }

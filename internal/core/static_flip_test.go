@@ -5,66 +5,115 @@ import (
 	"testing"
 
 	"ihtl/internal/gen"
+	"ihtl/internal/graph"
 )
 
-// staticFlipVariants are the engine configurations StaticFlipped
+// detEngine is the stepping surface the determinism properties cover:
+// Engine and ShardedEngine both provide it.
+type detEngine interface {
+	Step(src, dst []float64)
+	StepBatch(src, dst []float64, k int)
+}
+
+// detVariants are the engine shapes every default-options engine
 // promises bit-for-bit reproducibility for: the fused pipeline over
-// both block encodings, and the phased ablation pipeline.
-var staticFlipVariants = []struct {
-	name string
-	opt  EngineOptions
+// both block encodings, and a 2-shard engine. None sets StaticFlipped:
+// the fixed flipped partition is the only schedule. build returns the
+// engine and the permutation from its ID space to original IDs.
+var detVariants = []struct {
+	name  string
+	build func(t *testing.T, g *graph.Graph, p Params) (detEngine, func(in, out []float64))
 }{
-	{"fused-flat", EngineOptions{StaticFlipped: true}},
-	{"fused-varint", EngineOptions{StaticFlipped: true, BlockEncoding: EncodingVarint}},
-	{"phased", EngineOptions{StaticFlipped: true, Phased: true}},
+	{"fused-flat", func(t *testing.T, g *graph.Graph, p Params) (detEngine, func(in, out []float64)) {
+		return buildDetEngine(t, g, p, EngineOptions{})
+	}},
+	{"fused-varint", func(t *testing.T, g *graph.Graph, p Params) (detEngine, func(in, out []float64)) {
+		return buildDetEngine(t, g, p, EngineOptions{BlockEncoding: EncodingVarint})
+	}},
+	{"sharded-2", func(t *testing.T, g *graph.Graph, p Params) (detEngine, func(in, out []float64)) {
+		sg, err := BuildSharded(g, p, testPool, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		se, err := NewShardedEngine(sg, testPool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return se, sg.PermuteToOld
+	}},
+}
+
+func buildDetEngine(t *testing.T, g *graph.Graph, p Params, opt EngineOptions) (detEngine, func(in, out []float64)) {
+	t.Helper()
+	ih, err := Build(g, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := NewEngineOpts(ih, testPool, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e, ih.PermuteToOld
 }
 
 // TestStaticFlippedBitReproducible pins the determinism contract the
-// serving layer's replay guarantees are built on: with StaticFlipped,
-// two fresh engines over the same topology produce bit-identical
-// vectors after a chain of steps (chaining compounds any reassociation
-// drift, so a single step passing by luck cannot hide it), and the
-// result still matches the reference SpMV to rounding.
+// serving layer's replay guarantees are built on: two fresh
+// default-options engines over the same topology produce bit-identical
+// vectors after a chain of Steps — and of K-wide StepBatches — and the
+// scalar result still matches the reference SpMV to rounding. Chaining
+// compounds any reassociation drift, so a single step passing by luck
+// cannot hide it.
 func TestStaticFlippedBitReproducible(t *testing.T) {
+	const k = 3
 	g, err := gen.RMAT(gen.DefaultRMAT(10, 8, 21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ih, err := Build(g, Params{HubsPerBlock: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := randomVec(7, ih.NumV)
+	p := Params{HubsPerBlock: 64}
+	n := g.NumV
+	src := randomVec(7, n)
+	bsrc := randomVec(8, n*k)
 	const steps = 6
-	for _, variant := range staticFlipVariants {
+	// chain runs steps iterations of step over width-w vectors, keeping
+	// magnitudes bounded so late steps still exercise low-order
+	// mantissa bits.
+	chain := func(step func(x, y []float64), x0 []float64) []float64 {
+		x := append([]float64(nil), x0...)
+		y := make([]float64, len(x0))
+		for s := 0; s < steps; s++ {
+			step(x, y)
+			for i := range y {
+				y[i] = y[i]/float64(len(g.In(0))+8) + x0[i]
+			}
+			x, y = y, x
+		}
+		return x
+	}
+	for _, variant := range detVariants {
 		t.Run(variant.name, func(t *testing.T) {
-			run := func() []float64 {
-				e, err := NewEngineOpts(ih, testPool, variant.opt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				x := make([]float64, ih.NumV)
-				y := make([]float64, ih.NumV)
-				copy(x, src)
-				for s := 0; s < steps; s++ {
-					e.Step(x, y)
-					// Keep magnitudes bounded so late steps still
-					// exercise low-order mantissa bits.
-					for v := range y {
-						y[v] = y[v]/float64(len(g.In(0))+8) + src[v]
+			runs := make([][2][]float64, 2)
+			for r := range runs {
+				e, _ := variant.build(t, g, p)
+				runs[r][0] = chain(e.Step, src)
+				runs[r][1] = chain(func(x, y []float64) { e.StepBatch(x, y, k) }, bsrc)
+			}
+			for i, label := range []string{"Step", "StepBatch"} {
+				a, b := runs[0][i], runs[1][i]
+				for v := range a {
+					if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
+						t.Fatalf("%s: run-to-run drift at element %d: %v vs %v", label, v, a[v], b[v])
 					}
-					x, y = y, x
-				}
-				return x
-			}
-			a, b := run(), run()
-			for v := range a {
-				if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
-					t.Fatalf("run-to-run drift at vertex %d: %v vs %v", v, a[v], b[v])
 				}
 			}
-			want := referenceStep(g, original(ih, src))
-			got := original(ih, singleStep(t, ih, variant.opt, src))
+
+			e, toOld := variant.build(t, g, p)
+			dst := make([]float64, n)
+			e.Step(src, dst)
+			srcOld := make([]float64, n)
+			got := make([]float64, n)
+			toOld(src, srcOld)
+			toOld(dst, got)
+			want := referenceStep(g, srcOld)
 			for v := range want {
 				if math.Abs(got[v]-want[v]) > 1e-9*(math.Abs(want[v])+1) {
 					t.Fatalf("vertex %d: %v, reference %v", v, got[v], want[v])
@@ -74,48 +123,22 @@ func TestStaticFlippedBitReproducible(t *testing.T) {
 	}
 }
 
-func singleStep(t *testing.T, ih *IHTL, opt EngineOptions, src []float64) []float64 {
-	t.Helper()
-	e, err := NewEngineOpts(ih, testPool, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]float64, ih.NumV)
-	e.Step(src, dst)
-	return dst
-}
-
-// original maps an engine-ID-space vector back to original vertex IDs.
-func original(ih *IHTL, x []float64) []float64 {
-	out := make([]float64, len(x))
-	for nv, old := range ih.OldID {
-		out[old] = x[nv]
-	}
-	return out
-}
-
 // TestStaticFlippedBatchLanesMatchScalar pins the property coalesced
-// serving leans on: lane j of a K-wide StepBatch equals a scalar Step
-// of the same input bit-for-bit, because the pinned task → worker
-// assignment makes every partial sum's operand set — and its order —
-// identical across K.
+// serving leans on: lane j of a K-wide StepBatch on a default-options
+// engine equals a scalar Step of the same input bit-for-bit, because
+// the fixed task → worker assignment makes every partial sum's operand
+// set — and its order — identical across K.
 func TestStaticFlippedBatchLanesMatchScalar(t *testing.T) {
 	const k = 3
 	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 33))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ih, err := Build(g, Params{HubsPerBlock: 64}.ForBatch(k))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, variant := range staticFlipVariants {
+	p := Params{HubsPerBlock: 64}.ForBatch(k)
+	for _, variant := range detVariants {
 		t.Run(variant.name, func(t *testing.T) {
-			e, err := NewEngineOpts(ih, testPool, variant.opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			n := ih.NumV
+			e, _ := variant.build(t, g, p)
+			n := g.NumV
 			lanes := make([][]float64, k)
 			bsrc := make([]float64, n*k)
 			bdst := make([]float64, n*k)
@@ -139,10 +162,11 @@ func TestStaticFlippedBatchLanesMatchScalar(t *testing.T) {
 	}
 }
 
-// TestStaticFlippedRejectsAtomic: the CAS ablation's merge order is
-// schedule-dependent no matter how tasks are assigned, so the
-// combination must be refused at construction rather than silently
-// producing a nondeterministic "deterministic" engine.
+// TestStaticFlippedRejectsAtomic: the CAS ablation's accumulation order
+// is schedule-dependent no matter how tasks are assigned, so a caller
+// asking for reproducibility (StaticFlipped) together with
+// AtomicFlipped must be refused at construction rather than silently
+// handed a nondeterministic engine.
 func TestStaticFlippedRejectsAtomic(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(7, 6, 5))
 	if err != nil {

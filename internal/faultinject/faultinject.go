@@ -33,21 +33,14 @@ const (
 	// SiteSchedClaim fires in the pool worker once per claimed chunk or
 	// part of any dynamic dispatch mode (steal, dyn, part).
 	SiteSchedClaim Site = "sched.claim"
-	// SiteFlippedTask fires once per flipped-block task claimed by the
+	// SiteFlippedTask fires once per flipped-block task pushed by the
 	// fused iHTL workers.
 	SiteFlippedTask Site = "core.flipped-task"
 	// SiteSparsePart fires once per sparse-block chunk in the fused
 	// iHTL workers.
 	SiteSparsePart Site = "core.sparse-part"
-	// SiteSparseBin fires once per claimed source chunk of the
-	// propagation-blocked sparse kernel's bin phase.
-	SiteSparseBin Site = "core.sparse-bin"
-	// SiteSparseDrain fires once per claimed destination bucket of the
-	// propagation-blocked sparse kernel's drain phase.
-	SiteSparseDrain Site = "core.sparse-drain"
 	// SiteMergeBlock fires once per flipped-block merge (the countdown
-	// release path), and once per worker range of the phased ablation
-	// path's phase-2 buffer aggregation.
+	// release path).
 	SiteMergeBlock Site = "core.merge-block"
 	// SiteStepHealth is the numeric-poison site: Poison is consulted on
 	// the first destination element of every worker's epilogue range

@@ -2,8 +2,9 @@
 // lanes of one batched traversal. Lane assignment is arrival order —
 // the admission queue is FIFO and lanes are filled in dequeue order —
 // so a given arrival sequence always produces the same packing, and
-// (on the StaticFlipped engines the daemon builds) bit-identical
-// per-query results to solo runs.
+// bit-identical per-query results to solo runs: every engine is
+// reproducible at a fixed worker count, and a batch lane sums exactly
+// what a scalar step sums.
 package serve
 
 import (

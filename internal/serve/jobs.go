@@ -2,8 +2,9 @@
 // running async under the daemon with checkpoint-backed crash
 // tolerance. Every CheckpointEvery iterations the driver snapshot is
 // spooled atomically; a kill -9 at any instant warm-restarts from the
-// last spooled snapshot and — because the engines are StaticFlipped
-// and the analytics Resume contract is bit-for-bit — finishes with
+// last spooled snapshot and — because every engine is reproducible at
+// a fixed worker count and the analytics Resume contract is
+// bit-for-bit — finishes with
 // exactly the ranks an uninterrupted run would have produced. A
 // faulted attempt (worker panic, exhausted numeric rollback) restarts
 // from the latest in-memory snapshot with jittered exponential

@@ -95,7 +95,7 @@ func TestServeE2EKillDashNine(t *testing.T) {
 	pool := sched.NewPool(workers)
 	defer pool.Close()
 	ih := ef.IHTL()
-	eng, err := core.NewEngineOpts(ih, pool, core.EngineOptions{StaticFlipped: true})
+	eng, err := core.NewEngine(ih, pool)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@
 //   - request coalescing — in-flight PPR queries are packed into the
 //     lanes of one batched SpMV traversal (analytics.RunPPRLanes), so
 //     K concurrent queries share every edge load; lane results are
-//     bit-for-bit what a solo run would produce because the engines
-//     are built with core.EngineOptions.StaticFlipped;
+//     bit-for-bit what a solo run would produce because every engine
+//     is reproducible at a fixed worker count;
 //   - admission control — a bounded queue with load shedding
 //     (ErrOverloaded → HTTP 429), per-request deadlines as context
 //     timeouts, and a degraded mode that returns partial ranks with
@@ -221,10 +221,10 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// newSlot builds one pool + StaticFlipped engine pair. Engines are
-// rollback-capable (spmv.HealthRollback): a numeric fault mid-batch
-// restores the drivers' in-memory snapshot instead of failing the
-// queries riding it.
+// newSlot builds one pool + engine pair. Engines are rollback-capable
+// (spmv.HealthRollback): a numeric fault mid-batch restores the
+// drivers' in-memory snapshot instead of failing the queries riding
+// it.
 func (s *Server) newSlot() (*slot, error) {
 	pool := sched.NewPool(s.cfg.Workers)
 	eng, err := s.newEngine(pool)
@@ -236,10 +236,7 @@ func (s *Server) newSlot() (*slot, error) {
 }
 
 func (s *Server) newEngine(pool *sched.Pool) (engine, error) {
-	opt := core.EngineOptions{
-		StaticFlipped: true,
-		Health:        spmv.HealthPolicy{Mode: spmv.HealthRollback},
-	}
+	opt := core.EngineOptions{Health: spmv.HealthPolicy{Mode: spmv.HealthRollback}}
 	if ih := s.ef.IHTL(); ih != nil {
 		return core.NewEngineOpts(ih, pool, opt)
 	}

@@ -4,7 +4,8 @@
 // (temp → fsync → rename via internal/atomicio), so a kill -9 at any
 // instant leaves either the previous complete snapshot or the new one.
 // On startup the spool is scanned: running records resume bit-for-bit
-// (the analytics Resume contract over a StaticFlipped engine), done
+// (the analytics Resume contract over an engine that is reproducible
+// at a fixed worker count, as every engine is), done
 // records are served as completed jobs, and undecodable files — torn
 // writes from a non-atomic writer, disk corruption — are quarantined
 // with a counter, never a panic.

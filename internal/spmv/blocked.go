@@ -1,9 +1,9 @@
 package spmv
 
-// Propagation-blocked push (Balaji & Lucia): the whole-graph baseline
-// counterpart of the iHTL engine's SparsePB sparse kernel, kept as an
-// independent implementation for differential testing and for the
-// bench ablations. One Step runs two phases over the push CSR:
+// Propagation-blocked push (Balaji & Lucia): a whole-graph baseline
+// with the same bin/drain discipline as the sharded iHTL engine's
+// cross-shard exchange, kept as an independent implementation for
+// differential testing and for the bench ablations. One Step runs two phases over the push CSR:
 //
 //	bin:   sweep sources in ascending order (sequential src reads),
 //	       appending (dst, x) pairs into per-(chunk, bucket) segments

@@ -15,7 +15,7 @@ import (
 // identity, so skipping it cannot change any result. Skipping on
 // x == 0 would also skip negative zero, silently dropping -0.0
 // contributions the pull engines traverse; instead -0.0 is pushed like
-// any other value. All push engines — fused, phased, atomic, buffered,
+// any other value. All push engines — fused, atomic, buffered,
 // partitioned, and their batched forms — share this predicate so their
 // zero semantics cannot drift apart.
 //

@@ -2,7 +2,7 @@
 
 // Package unchecked provides bounds-check-free slice access for the
 // //ihtl:nobce kernels. The flipped push, varint decode, sparse pull
-// and propagation-blocked bin/drain loops index by graph data —
+// and exchange bin/drain loops index by graph data —
 // vertex IDs, CSR offsets, byte cursors — that no bounds-check-
 // elimination analysis can prove in range, so in safe Go every gather
 // and scatter in those loops pays a per-edge check. These helpers
