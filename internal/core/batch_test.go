@@ -26,7 +26,8 @@ func packLanes(seed uint64, n, k int) (lanes [][]float64, batch []float64) {
 // against K independent scalar Steps, across graphs, worker counts,
 // batch widths, and both flipped modes: on an AtomicFlipped engine
 // the scalar Steps take the CAS ablation while StepBatch takes the
-// buffered batch pipeline. Integer-valued sources make float addition
+// buffered batch pipeline. The phased=true cases take the scalar Steps
+// phase by phase (phasedStep). Integer-valued sources make float addition
 // exact and associative, so the results are schedule-independent (see
 // fused_diff_test.go).
 func TestStepBatchDifferential(t *testing.T) {
@@ -43,39 +44,42 @@ func TestStepBatchDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, k := range []int{1, 2, 4, 8} {
-					// The "phased=false" segment names the fused pipeline
-					// the way it was named while a phased one existed, so
-					// subtest names stay comparable across that removal.
-					label := fmt.Sprintf("%s/w%d/phased=false atomic=%v/k%d",
-						name, workers, opt.AtomicFlipped, k)
-					t.Run(label, func(t *testing.T) {
-						lanes, src := packLanes(42, ih.NumV, k)
-						want := make([][]float64, k)
-						for j := 0; j < k; j++ {
-							want[j] = make([]float64, ih.NumV)
-							e.Step(lanes[j], want[j])
-						}
-						dst := make([]float64, ih.NumV*k)
-						e.StepBatch(src, dst, k)
-						got := make([]float64, ih.NumV)
-						for j := 0; j < k; j++ {
-							for v := 0; v < ih.NumV; v++ {
-								got[v] = dst[v*k+j]
+				for _, phased := range []bool{false, true} {
+					step := e.Step
+					if phased {
+						step = phasedEngine{e}.Step
+					}
+					for _, k := range []int{1, 2, 4, 8} {
+						label := fmt.Sprintf("%s/w%d/phased=%v atomic=%v/k%d",
+							name, workers, phased, opt.AtomicFlipped, k)
+						t.Run(label, func(t *testing.T) {
+							lanes, src := packLanes(42, ih.NumV, k)
+							want := make([][]float64, k)
+							for j := 0; j < k; j++ {
+								want[j] = make([]float64, ih.NumV)
+								step(lanes[j], want[j])
 							}
-							requireBitIdentical(t, fmt.Sprintf("lane %d", j), want[j], got)
-						}
-						// A second StepBatch must match too: it proves the
-						// K-wide buffers, dirty ranges and gates were left
-						// clean by the first batched iteration.
-						e.StepBatch(src, dst, k)
-						for j := 0; j < k; j++ {
-							for v := 0; v < ih.NumV; v++ {
-								got[v] = dst[v*k+j]
+							dst := make([]float64, ih.NumV*k)
+							e.StepBatch(src, dst, k)
+							got := make([]float64, ih.NumV)
+							for j := 0; j < k; j++ {
+								for v := 0; v < ih.NumV; v++ {
+									got[v] = dst[v*k+j]
+								}
+								requireBitIdentical(t, fmt.Sprintf("lane %d", j), want[j], got)
 							}
-							requireBitIdentical(t, fmt.Sprintf("lane %d (second)", j), want[j], got)
-						}
-					})
+							// A second StepBatch must match too: it proves the
+							// K-wide buffers, dirty ranges and gates were left
+							// clean by the first batched iteration.
+							e.StepBatch(src, dst, k)
+							for j := 0; j < k; j++ {
+								for v := 0; v < ih.NumV; v++ {
+									got[v] = dst[v*k+j]
+								}
+								requireBitIdentical(t, fmt.Sprintf("lane %d (second)", j), want[j], got)
+							}
+						})
+					}
 				}
 			}
 		}

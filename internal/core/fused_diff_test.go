@@ -69,7 +69,7 @@ func diffGraphs(t *testing.T) map[string]*graph.Graph {
 
 // stepOldSpace runs one Step of an iHTL engine with old-ID-space
 // vectors, permuting in and out.
-func stepOldSpace(ih *IHTL, e *Engine, srcOld []float64) []float64 {
+func stepOldSpace(ih *IHTL, e spmv.Stepper, srcOld []float64) []float64 {
 	n := ih.NumV
 	srcNew := make([]float64, n)
 	dstNew := make([]float64, n)
@@ -80,10 +80,11 @@ func stepOldSpace(ih *IHTL, e *Engine, srcOld []float64) []float64 {
 	return dstOld
 }
 
-// TestStepDifferentialFusedPull checks that the fused pipeline, its
-// AtomicFlipped ablation, and the spmv.Pull baseline produce
-// bit-identical dst vectors across graphs and worker counts.
-func TestStepDifferentialFusedPull(t *testing.T) {
+// TestStepDifferentialFusedPhasedPull checks that the fused pipeline,
+// its AtomicFlipped ablation, the same engines stepped phase by phase
+// (phasedStep), and the spmv.Pull baseline produce bit-identical dst
+// vectors across graphs and worker counts.
+func TestStepDifferentialFusedPhasedPull(t *testing.T) {
 	workerCounts := []int{1, 3, runtime.GOMAXPROCS(0)}
 	for name, g := range diffGraphs(t) {
 		src := integerVec(1234, g.NumV)
@@ -114,14 +115,20 @@ func TestStepDifferentialFusedPull(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := stepOldSpace(ih, e, src)
-					label := fmt.Sprintf("atomic=%v", opt.AtomicFlipped)
-					requireBitIdentical(t, label, want, got)
-					// A second Step re-using the engine must be just as
-					// exact: it proves buffers, dirty ranges, and gates
-					// were left clean by the first fused iteration.
-					got2 := stepOldSpace(ih, e, src)
-					requireBitIdentical(t, label+" (second step)", want, got2)
+					for _, phased := range []bool{false, true} {
+						var st spmv.Stepper = e
+						if phased {
+							st = phasedEngine{e}
+						}
+						got := stepOldSpace(ih, st, src)
+						label := fmt.Sprintf("phased=%v atomic=%v", phased, opt.AtomicFlipped)
+						requireBitIdentical(t, label, want, got)
+						// A second Step re-using the engine must be just as
+						// exact: it proves buffers, dirty ranges, and gates
+						// were left clean by the first iteration.
+						got2 := stepOldSpace(ih, st, src)
+						requireBitIdentical(t, label+" (second step)", want, got2)
+					}
 				}
 			})
 		}

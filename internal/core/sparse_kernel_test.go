@@ -112,7 +112,8 @@ func TestSparseKernelSignedZero(t *testing.T) {
 
 // TestSparseKernelBatchDifferential pins StepBatch under every sparse
 // kernel bit-for-bit against K scalar Steps of the same engine (which
-// the scalar differential pins to pull).
+// the scalar differential pins to pull), fused and phase by phase
+// (phasedStep).
 func TestSparseKernelBatchDifferential(t *testing.T) {
 	for name, g := range diffGraphs(t) {
 		ih, err := Build(g, Params{HubsPerBlock: 64})
@@ -126,29 +127,72 @@ func TestSparseKernelBatchDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, k := range []int{2, 4} {
-				// The "phased=false" segment names the fused pipeline the
-				// way it was named while a phased one existed, so subtest
-				// names stay comparable across that removal.
-				label := fmt.Sprintf("%s/kernel=%v phased=false/k%d", name, kernel, k)
-				t.Run(label, func(t *testing.T) {
-					lanes, src := packLanes(99, ih.NumV, k)
-					want := make([][]float64, k)
-					for j := 0; j < k; j++ {
-						want[j] = make([]float64, ih.NumV)
-						e.Step(lanes[j], want[j])
-					}
-					dst := make([]float64, ih.NumV*k)
-					e.StepBatch(src, dst, k)
-					got := make([]float64, ih.NumV)
-					for j := 0; j < k; j++ {
-						for v := 0; v < ih.NumV; v++ {
-							got[v] = dst[v*k+j]
+			for _, phased := range []bool{false, true} {
+				step := e.Step
+				if phased {
+					step = phasedEngine{e}.Step
+				}
+				for _, k := range []int{2, 4} {
+					label := fmt.Sprintf("%s/kernel=%v phased=%v/k%d", name, kernel, phased, k)
+					t.Run(label, func(t *testing.T) {
+						lanes, src := packLanes(99, ih.NumV, k)
+						want := make([][]float64, k)
+						for j := 0; j < k; j++ {
+							want[j] = make([]float64, ih.NumV)
+							step(lanes[j], want[j])
 						}
-						requireBitIdentical(t, fmt.Sprintf("lane %d", j), want[j], got)
-					}
-				})
+						dst := make([]float64, ih.NumV*k)
+						e.StepBatch(src, dst, k)
+						got := make([]float64, ih.NumV)
+						for j := 0; j < k; j++ {
+							for v := 0; v < ih.NumV; v++ {
+								got[v] = dst[v*k+j]
+							}
+							requireBitIdentical(t, fmt.Sprintf("lane %d", j), want[j], got)
+						}
+					})
+				}
 			}
+		}
+	}
+}
+
+// TestSparseKernelBreakdownSplit pins the per-phase busy clocks under
+// every sparse kernel: the sparse pull is charged to SparseBusy and
+// nowhere else, SparseTotalBusy reports exactly it, the flipped push
+// keeps its own clock, and an unsharded engine leaves the exchange
+// clocks at zero.
+func TestSparseKernelBreakdownSplit(t *testing.T) {
+	g, err := gen.Web(gen.DefaultWeb(4000, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ih, err := Build(g, Params{HubsPerBlock: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := integerVec(2, g.NumV)
+	dst := make([]float64, g.NumV)
+	for _, kernel := range sparseKernels {
+		e, err := NewEngineOpts(ih, testPool, EngineOptions{SparseKernel: kernel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			e.Step(src, dst)
+		}
+		b := e.TakeBreakdown()
+		if b.SparseBusy <= 0 || b.FlippedBusy <= 0 {
+			t.Fatalf("%v: phase clocks not split: flipped %v sparse %v", kernel, b.FlippedBusy, b.SparseBusy)
+		}
+		if b.SparseTotalBusy() != b.SparseBusy {
+			t.Fatalf("%v: SparseTotalBusy %v, SparseBusy %v", kernel, b.SparseTotalBusy(), b.SparseBusy)
+		}
+		if b.ExchangeBinBusy != 0 || b.ExchangeDrainBusy != 0 {
+			t.Fatalf("%v: unsharded engine charged exchange clocks: %v/%v", kernel, b.ExchangeBinBusy, b.ExchangeDrainBusy)
+		}
+		if b.TotalBusy() != b.FlippedBusy+b.MergeBusy+b.SparseBusy {
+			t.Fatalf("%v: TotalBusy does not sum the phase clocks", kernel)
 		}
 	}
 }

@@ -17,9 +17,11 @@ type detEngine interface {
 
 // detVariants are the engine shapes every default-options engine
 // promises bit-for-bit reproducibility for: the fused pipeline over
-// both block encodings, and a 2-shard engine. None sets StaticFlipped:
-// the fixed flipped partition is the only schedule. build returns the
-// engine and the permutation from its ID space to original IDs.
+// both block encodings, the same engine stepped phase by phase
+// (phasedStep; its StepBatch is the engine's own), and a 2-shard
+// engine. None sets StaticFlipped: the fixed flipped partition is the
+// only schedule. build returns the engine and the permutation from its
+// ID space to original IDs.
 var detVariants = []struct {
 	name  string
 	build func(t *testing.T, g *graph.Graph, p Params) (detEngine, func(in, out []float64))
@@ -29,6 +31,10 @@ var detVariants = []struct {
 	}},
 	{"fused-varint", func(t *testing.T, g *graph.Graph, p Params) (detEngine, func(in, out []float64)) {
 		return buildDetEngine(t, g, p, EngineOptions{BlockEncoding: EncodingVarint})
+	}},
+	{"phased", func(t *testing.T, g *graph.Graph, p Params) (detEngine, func(in, out []float64)) {
+		e, toOld := buildDetEngine(t, g, p, EngineOptions{})
+		return phasedEngine{e.(*Engine)}, toOld
 	}},
 	{"sharded-2", func(t *testing.T, g *graph.Graph, p Params) (detEngine, func(in, out []float64)) {
 		sg, err := BuildSharded(g, p, testPool, 2)
