@@ -125,14 +125,14 @@ func PersonalizedPageRank(e *Engine, pool *Pool, sources []VID, opt PageRankOpti
 	n := e.NumVertices()
 	deg := make([]int, n)
 	for nv := 0; nv < n; nv++ {
-		deg[nv] = e.g.OutDegree(e.oldID(nv))
+		deg[nv] = e.g.OutDegree(e.ih.OldID[nv])
 	}
 	srcNew := make([]int, len(sources))
 	for j, s := range sources {
 		if int(s) < 0 || int(s) >= n {
 			return nil, fmt.Errorf("ihtl: source %d out of range", s)
 		}
-		srcNew[j] = int(e.newID(s))
+		srcNew[j] = int(e.ih.NewID[s])
 	}
 	res, err := analytics.RunPersonalizedPageRank(e.eng, deg, pool, srcNew, opt)
 	if err != nil {
@@ -143,7 +143,7 @@ func PersonalizedPageRank(e *Engine, pool *Pool, sources []VID, opt PageRankOpti
 	for j := range sources {
 		res.Lane(j, lane)
 		out[j] = make([]float64, n)
-		e.permuteToOld(lane, out[j])
+		e.ih.PermuteToOld(lane, out[j])
 	}
 	return out, nil
 }

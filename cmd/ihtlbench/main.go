@@ -34,8 +34,6 @@ func main() {
 		buildjson = flag.String("buildjson", "", "measure sequential and parallel preprocessing times (graph build, rank, select, relabel, blocks) and write them as JSON to this path (e.g. results/BENCH_build.json), then exit")
 		faults    = flag.String("faults", "", "run the fault-recovery smoke (PageRank with seeded cancel/NaN/panic faults vs clean) and write the timings as JSON to this path (e.g. results/BENCH_faults.json), then exit")
 		faultseed = flag.Uint64("faultseed", 1, "with -faults: seed deriving the fault iterations")
-		shardjson = flag.String("shardjson", "", "run the sharded-execution ablation (fused engine at each -shards count, with the exchange phase split out) and write it as JSON to this path (e.g. results/BENCH_shard.json), then exit")
-		shards    = flag.String("shards", "", "with -shardjson: comma-separated shard counts to sweep (default 1,2,4,8)")
 		servejson = flag.String("servejson", "", "drive the ranking daemon with a closed-loop Zipf query load at each -servelanes width and write throughput/latency/lane-fill JSON to this path (e.g. results/BENCH_serve.json), then exit")
 		servelane = flag.String("servelanes", "", "with -servejson: comma-separated coalescing widths to sweep (default 1,2,4,8)")
 		servescal = flag.Int("servescale", 12, "with -servejson: R-MAT scale of the served graph")
@@ -104,34 +102,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("wrote %d measurements to %s\n", len(rep.Results), *servejson)
-		return
-	}
-
-	if *shardjson != "" {
-		var counts []int
-		if *shards != "" {
-			for _, s := range strings.Split(*shards, ",") {
-				n, err := strconv.Atoi(strings.TrimSpace(s))
-				if err != nil || n < 1 {
-					fatal(fmt.Errorf("invalid -shards entry %q", s))
-				}
-				counts = append(counts, n)
-			}
-		}
-		// The ablation runs on its own registry (scale-14 R-MAT + the
-		// SK-Domain web analog) unless datasets were named explicitly.
-		abl := bench.ShardRegistry()
-		if *datasets != "" {
-			abl = selected
-		}
-		rep, err := bench.RunShardJSON(env, abl, counts)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteShardJSON(*shardjson, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d measurements to %s\n", len(rep.Results), *shardjson)
 		return
 	}
 

@@ -36,6 +36,21 @@ import (
 	"ihtl/internal/serve"
 )
 
+// Connection bounds. A client has readHeaderTimeout to send its
+// request headers, so a slow-header client cannot pin a connection,
+// and an idle keep-alive connection is closed after idleTimeout. No
+// write timeout is set: the per-query deadline (-timeout) and the
+// drain deadline already bound how long a response can take.
+const (
+	readHeaderTimeout = 5 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer serves h with the connection bounds above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
+}
+
 func main() {
 	var (
 		enginePath = flag.String("engine", "", "serialised engine graph (ihtlconvert output)")
@@ -83,7 +98,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer(srv.Handler())
 	// The resolved address on stdout is the harness handshake: e2e
 	// drivers pass :0 and scrape the port.
 	fmt.Printf("ihtlserve listening on %s\n", ln.Addr())

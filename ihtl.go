@@ -73,7 +73,7 @@ type PageRankOptions = analytics.PageRankOptions
 
 // EngineOptions tunes the iHTL engine beyond Params: the scalar
 // AtomicFlipped ablation, the sparse-block kernel, the block encoding,
-// sharding, and the opt-in numeric-health watchdog.
+// and the opt-in numeric-health watchdog.
 type EngineOptions = core.EngineOptions
 
 // SparseKernel selects the engine's sparse-block kernel via
@@ -231,30 +231,12 @@ func GenerateWebOn(pool *Pool, n int, seed uint64) (*Graph, error) {
 	return gen.Web(cfg)
 }
 
-// ShardedIHTL is a built sharded iHTL graph: the shard plan, one
-// private iHTL graph per shard, and the cross-shard exchange topology.
-// Engines built with EngineOptions.Shards > 1 expose it through
-// (*Engine).Sharded().
-type ShardedIHTL = core.ShardedIHTL
-
-// coreStepper is the stepping surface shared by the single-graph and
-// sharded core engines; the public Engine delegates through it.
-type coreStepper interface {
-	Step(src, dst []float64)
-	StepCtx(ctx context.Context, src, dst []float64) error
-	StepBatch(src, dst []float64, k int)
-	StepBatchCtx(ctx context.Context, src, dst []float64, k int) error
-	NumVertices() int
-}
-
 // Engine is an iHTL SpMV engine over a fixed graph. It implements
 // Stepper in iHTL (relabeled) vertex-ID space and exposes the
-// relabeling through IHTL() — or, for a sharded engine
-// (EngineOptions.Shards > 1), through Sharded().
+// relabeling through IHTL().
 type Engine struct {
-	ih  *core.IHTL        // nil when sharded
-	sg  *core.ShardedIHTL // nil when single-graph
-	eng coreStepper
+	ih  *core.IHTL
+	eng *core.Engine
 	g   *graph.Graph
 }
 
@@ -268,29 +250,12 @@ func NewEngine(g *Graph, pool *Pool, p Params) (*Engine, error) {
 }
 
 // NewEngineOpts is NewEngine with explicit engine options (the scalar
-// AtomicFlipped ablation, the numeric-health watchdog, sharded
-// execution) and a context governing the preprocessing build:
+// AtomicFlipped ablation, the numeric-health watchdog, the sparse
+// kernel and block encoding) and a context governing the preprocessing build:
 // cancelling ctx aborts hub ranking, relabeling and block construction
 // between phases (mid-pass at the next chunk claim) and returns
 // ctx.Err(). ctx may be nil.
-//
-// With opt.Shards > 1 the graph is cut into that many vertex-range
-// shards, each with its own flipped blocks, sparse block and hub
-// buffers, stepped by shard-affine worker groups with a deterministic
-// cross-shard exchange — bit-for-bit schedule-independent like the
-// unsharded engine. See DESIGN.md §15.
 func NewEngineOpts(ctx context.Context, g *Graph, pool *Pool, p Params, opt EngineOptions) (*Engine, error) {
-	if opt.Shards > 1 {
-		sg, err := core.BuildShardedCtx(ctx, g, p, pool, opt.Shards)
-		if err != nil {
-			return nil, err
-		}
-		seng, err := core.NewShardedEngineOpts(sg, pool, opt)
-		if err != nil {
-			return nil, err
-		}
-		return &Engine{sg: sg, eng: seng, g: g}, nil
-	}
 	ih, err := core.BuildWithCtx(ctx, g, p, pool)
 	if err != nil {
 		return nil, err
@@ -319,41 +284,11 @@ func (e *Engine) StepCtx(ctx context.Context, src, dst []float64) error {
 func (e *Engine) NumVertices() int { return e.eng.NumVertices() }
 
 // IHTL returns the underlying iHTL graph (relabeling arrays, blocks,
-// statistics), or nil for a sharded engine — use Sharded() there.
+// statistics).
 func (e *Engine) IHTL() *IHTL { return e.ih }
-
-// Sharded returns the underlying sharded iHTL graph of an engine built
-// with EngineOptions.Shards > 1, or nil for a single-graph engine.
-func (e *Engine) Sharded() *ShardedIHTL { return e.sg }
 
 // Graph returns the original graph the engine was built from.
 func (e *Engine) Graph() *Graph { return e.g }
-
-// oldID maps an iHTL (or sharded-global) ID back to the original ID.
-func (e *Engine) oldID(nv int) VID {
-	if e.sg != nil {
-		return e.sg.OldID[nv]
-	}
-	return e.ih.OldID[nv]
-}
-
-// newID maps an original ID to the engine's stepping ID space.
-func (e *Engine) newID(v VID) VID {
-	if e.sg != nil {
-		return e.sg.NewID[v]
-	}
-	return e.ih.NewID[v]
-}
-
-// permuteToOld scatters a stepping-ID-space vector into original ID
-// order.
-func (e *Engine) permuteToOld(in, out []float64) {
-	if e.sg != nil {
-		e.sg.PermuteToOld(in, out)
-		return
-	}
-	e.ih.PermuteToOld(in, out)
-}
 
 // Direction selects a baseline traversal kernel for NewBaselineEngine.
 type Direction = spmv.Direction
@@ -391,14 +326,14 @@ func PageRankCtx(ctx context.Context, e *Engine, pool *Pool, opt PageRankOptions
 	n := e.NumVertices()
 	deg := make([]int, n)
 	for nv := 0; nv < n; nv++ {
-		deg[nv] = e.g.OutDegree(e.oldID(nv))
+		deg[nv] = e.g.OutDegree(e.ih.OldID[nv])
 	}
 	res, err := analytics.RunPageRankCtx(ctx, e.eng, deg, pool, opt)
 	if err != nil {
 		return nil, err
 	}
 	out := make([]float64, n)
-	e.permuteToOld(res.Ranks, out)
+	e.ih.PermuteToOld(res.Ranks, out)
 	return out, nil
 }
 

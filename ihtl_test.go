@@ -209,108 +209,6 @@ func TestPublicAPIBlockEncoding(t *testing.T) {
 	}
 }
 
-// TestPublicAPISharded drives EngineOptions.Shards end to end: a
-// sharded engine must expose Sharded() instead of IHTL(), step
-// bit-for-bit like the unsharded engine on integer inputs (compared in
-// original ID space), and produce the same PageRank and personalized
-// PageRank trajectories.
-func TestPublicAPISharded(t *testing.T) {
-	g, err := ihtl.GenerateRMAT(10, 8, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := ihtl.NewPool(4)
-	defer pool.Close()
-
-	p := ihtl.Params{HubsPerBlock: 64}
-	base, err := ihtl.NewEngine(g, pool, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shd, err := ihtl.NewEngineOpts(nil, g, pool, p, ihtl.EngineOptions{Shards: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if shd.IHTL() != nil {
-		t.Fatal("sharded engine surfaced a single-graph IHTL")
-	}
-	sg := shd.Sharded()
-	if sg == nil || sg.NumShards() != 3 {
-		t.Fatalf("Sharded() = %v, want a 3-shard plan", sg)
-	}
-	if base.Sharded() != nil {
-		t.Fatal("single-graph engine surfaced a shard plan")
-	}
-	if sg.CrossEdges() == 0 {
-		t.Fatal("RMAT fixture should have cross-shard edges")
-	}
-
-	// Integer-valued step differential in original ID space: exact
-	// addition, so sharded and unsharded must agree bit for bit.
-	n := base.NumVertices()
-	src := make([]float64, n)
-	for v := range src {
-		src[v] = float64(v%17 - 8)
-	}
-	stepOld := func(e *ihtl.Engine) []float64 {
-		in := make([]float64, n)
-		out := make([]float64, n)
-		old := make([]float64, n)
-		if ih := e.IHTL(); ih != nil {
-			ih.PermuteToNew(src, in)
-			e.Step(in, out)
-			ih.PermuteToOld(out, old)
-		} else {
-			e.Sharded().PermuteToNew(src, in)
-			e.Step(in, out)
-			e.Sharded().PermuteToOld(out, old)
-		}
-		return old
-	}
-	want, got := stepOld(base), stepOld(shd)
-	for v := range want {
-		if want[v] != got[v] {
-			t.Fatalf("sharded Step differs at %d: %g vs %g", v, got[v], want[v])
-		}
-	}
-
-	// PageRank through the analytics driver (float trajectory: allow
-	// rounding noise from the different reduction orders).
-	prOpt := ihtl.PageRankOptions{MaxIters: 10, Tol: -1}
-	wantPR, err := ihtl.PageRank(base, pool, prOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPR, err := ihtl.PageRank(shd, pool, prOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := range wantPR {
-		if math.Abs(wantPR[v]-gotPR[v]) > 1e-12 {
-			t.Fatalf("sharded PageRank differs at %d: %g vs %g", v, gotPR[v], wantPR[v])
-		}
-	}
-
-	// Personalized PageRank exercises the batched sharded path.
-	sources := []ihtl.VID{1, 7, 19}
-	wantPPR, err := ihtl.PersonalizedPageRank(base, pool, sources, prOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotPPR, err := ihtl.PersonalizedPageRank(shd, pool, sources, prOpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range sources {
-		for v := range wantPPR[j] {
-			if math.Abs(wantPPR[j][v]-gotPPR[j][v]) > 1e-12 {
-				t.Fatalf("sharded PPR source %d differs at %d: %g vs %g",
-					sources[j], v, gotPPR[j][v], wantPPR[j][v])
-			}
-		}
-	}
-}
-
 func requireSameGraph(t *testing.T, label string, want, got *ihtl.Graph) {
 	t.Helper()
 	if got.NumV != want.NumV || got.NumE != want.NumE {

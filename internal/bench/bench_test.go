@@ -317,59 +317,6 @@ func TestEnvCSVMode(t *testing.T) {
 	}
 }
 
-// TestRunShardJSON drives the sharding ablation end to end on a small
-// dataset: one record per shard count, the exchange phase split only
-// present on sharded records, host metadata attached, and a JSON round
-// trip.
-func TestRunShardJSON(t *testing.T) {
-	env, _ := smallEnv(t)
-	d := SmallRegistry()[0]
-	counts := []int{1, 2, 4}
-	rep, err := RunShardJSON(env, []*Dataset{d}, counts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Results) != len(counts) {
-		t.Fatalf("%d results, want one per shard count (%d)", len(rep.Results), len(counts))
-	}
-	if rep.Host == nil || rep.Host.GoVersion == "" || rep.Host.Workers != env.Pool.Workers() {
-		t.Fatalf("missing host metadata: %+v", rep.Host)
-	}
-	for i, r := range rep.Results {
-		if r.Shards != counts[i] || r.Dataset != d.Name || r.NsPerStep <= 0 {
-			t.Fatalf("implausible measurement: %+v", r)
-		}
-		if r.Shards == 1 {
-			if r.CrossEdges != 0 || r.ExchangeBinNs != 0 || r.ExchangeDrainNs != 0 {
-				t.Fatalf("unsharded baseline grew exchange columns: %+v", r)
-			}
-		} else {
-			if r.CrossEdges <= 0 {
-				t.Fatalf("sharded record has no cross edges: %+v", r)
-			}
-			if r.ExchangeBinNs <= 0 || r.ExchangeDrainNs <= 0 {
-				t.Fatalf("sharded record missing exchange phase split: %+v", r)
-			}
-		}
-	}
-	path := filepath.Join(t.TempDir(), "results", "BENCH_shard.json")
-	if err := WriteShardJSON(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var back ShardReport
-	if err := json.Unmarshal(data, &back); err != nil {
-		t.Fatal(err)
-	}
-	if back.Workers != rep.Workers || len(back.Results) != len(rep.Results) ||
-		back.Host == nil || back.Host.GoVersion != rep.Host.GoVersion {
-		t.Fatalf("report changed in round trip: %+v", back)
-	}
-}
-
 // TestHostInfoInReports checks every report constructor stamps host
 // metadata.
 func TestHostInfoInReports(t *testing.T) {

@@ -361,6 +361,19 @@ func (ck *Chunked) DecodeChunkCSR(c int, sIdx []int32, dsts []uint32) (nsrc, ne 
 //
 //ihtl:nopanic
 func (ck *Chunked) Validate(maxDst uint32) error {
+	return ck.ValidateRows(0, maxDst, nil)
+}
+
+// ValidateRows is Validate with every neighbour confined to
+// [minDst, maxDst) and, when index is non-nil, every row's degree
+// equal to index[row+1]-index[row]: the stream and a CSR offset array
+// kept beside it must describe the same rows.
+//
+//ihtl:nopanic
+func (ck *Chunked) ValidateRows(minDst, maxDst uint32, index []int64) error {
+	if index != nil && len(index) != ck.NumSrc+1 {
+		return fmt.Errorf("compress: index has %d offsets for %d rows", len(index), ck.NumSrc)
+	}
 	nc := len(ck.ByteOff) - 1
 	if nc < 0 || len(ck.SrcOff) != nc+1 {
 		return fmt.Errorf("compress: chunk tables %d/%d rows mismatched", len(ck.SrcOff), len(ck.ByteOff))
@@ -389,7 +402,7 @@ func (ck *Chunked) Validate(maxDst uint32) error {
 	for c := 0; c < nc; c++ {
 		nsrc := int(ck.SrcOff[c+1]) - int(ck.SrcOff[c])
 		bLo, bHi := ck.ByteOff[c], ck.ByteOff[c+1]
-		if nsrc < 0 || bLo > bHi || bHi > int64(len(ck.Data)) {
+		if nsrc < 0 || int(ck.SrcOff[c+1]) > ck.NumSrc || bLo > bHi || bHi > int64(len(ck.Data)) {
 			return fmt.Errorf("compress: chunk %d has negative extent", c)
 		}
 		if nsrc > ck.MaxSrcs {
@@ -407,6 +420,9 @@ func (ck *Chunked) Validate(maxDst uint32) error {
 			if deg > uint64(ck.MaxEdges)-uint64(ce) {
 				return fmt.Errorf("compress: chunk %d edges exceed MaxEdges %d", c, ck.MaxEdges)
 			}
+			if row := int(ck.SrcOff[c]) + s; index != nil && uint64(index[row+1]-index[row]) != deg {
+				return fmt.Errorf("compress: row %d holds %d edges, index says %d", row, deg, index[row+1]-index[row])
+			}
 			prev := uint64(0)
 			for i := uint64(0); i < deg; i++ {
 				gap, k := binary.Uvarint(data[pos:])
@@ -415,8 +431,8 @@ func (ck *Chunked) Validate(maxDst uint32) error {
 				}
 				pos += k
 				cur := prev + gap
-				if cur >= uint64(maxDst) {
-					return fmt.Errorf("compress: chunk %d neighbour %d out of range %d", c, cur, maxDst)
+				if cur < uint64(minDst) || cur >= uint64(maxDst) {
+					return fmt.Errorf("compress: chunk %d neighbour %d outside [%d, %d)", c, cur, minDst, maxDst)
 				}
 				prev = cur
 			}

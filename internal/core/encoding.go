@@ -204,7 +204,7 @@ func (e *Engine) initEncoding(enc BlockEncoding) {
 			maxEdges = ck.MaxEdges
 		}
 	}
-	e.encScratch = make([]encScratch, e.nworkers)
+	e.encScratch = make([]encScratch, e.pool.Workers())
 	for w := range e.encScratch {
 		e.encScratch[w] = encScratch{
 			sIdx: make([]int32, maxSrcs+1),

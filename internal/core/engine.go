@@ -37,12 +37,6 @@ type Engine struct {
 	ih            *IHTL
 	pool          *sched.Pool
 	atomicFlipped bool
-	// nworkers is the number of distinct worker indices this engine's
-	// per-worker state (buffers, clocks, schedulers, barriers) is sized
-	// for. It equals pool.Workers() for a standalone engine; a sharded
-	// engine's sub-engines are sized for their shard's worker GROUP and
-	// receive group-local indices from the sharded dispatch.
-	nworkers int
 
 	// encoding is the resolved block encoding; varint mirrors
 	// encoding == EncodingVarint for branch-cheap hot-path checks.
@@ -226,11 +220,6 @@ type Breakdown struct {
 	FlippedBusy time.Duration // Σ workers' in-phase busy time
 	MergeBusy   time.Duration
 	SparseBusy  time.Duration
-	// ExchangeBinBusy/ExchangeDrainBusy are the sharded engine's cross-
-	// shard exchange phases (see sharded.go); single-shard engines leave
-	// them zero.
-	ExchangeBinBusy   time.Duration
-	ExchangeDrainBusy time.Duration
 
 	Wall  time.Duration // elapsed time of all Steps
 	Steps int
@@ -244,7 +233,7 @@ func (b Breakdown) Total() time.Duration { return b.Wall }
 
 // TotalBusy returns the summed per-worker busy time across phases.
 func (b Breakdown) TotalBusy() time.Duration {
-	return b.FlippedBusy + b.MergeBusy + b.SparseTotalBusy() + b.ExchangeBinBusy + b.ExchangeDrainBusy
+	return b.FlippedBusy + b.MergeBusy + b.SparseTotalBusy()
 }
 
 // FlippedFrac returns the fraction of busy time spent pushing flipped
@@ -295,15 +284,6 @@ type EngineOptions struct {
 	// Steps are bit-for-bit identical under either encoding.
 	// See encoding.go.
 	BlockEncoding BlockEncoding
-	// Shards splits execution into N contiguous vertex-range shards,
-	// each with its own flipped + sparse blocks, hub buffers and degree
-	// buckets, joined by a deterministic cross-shard exchange phase.
-	// 0 or 1 selects today's single-shard engine. Sharding partitions
-	// the ORIGINAL graph, so the option is honoured by the public
-	// ihtl.NewEngineOpts (which routes to BuildSharded +
-	// NewShardedEngineOpts); core.NewEngineOpts over an already built
-	// IHTL rejects Shards > 1. See sharded.go.
-	Shards int
 }
 
 // NewEngine prepares an Algorithm 3 engine on the given pool with
@@ -312,41 +292,20 @@ func NewEngine(ih *IHTL, pool *sched.Pool) (*Engine, error) {
 	return NewEngineOpts(ih, pool, EngineOptions{})
 }
 
-// NewEngineOpts is NewEngine with explicit options. Options asking for
-// more than one shard are rejected here: sharding partitions the
-// ORIGINAL graph before iHTL construction, so it enters through
-// BuildSharded + NewShardedEngineOpts (or the public ihtl.NewEngineOpts,
-// which routes EngineOptions.Shards there).
+// NewEngineOpts is NewEngine with explicit options.
 func NewEngineOpts(ih *IHTL, pool *sched.Pool, opt EngineOptions) (*Engine, error) {
-	if opt.Shards > 1 {
-		return nil, fmt.Errorf("core: NewEngineOpts cannot shard a built IHTL (want NewShardedEngineOpts over a BuildSharded graph)")
-	}
-	if pool == nil {
-		return nil, fmt.Errorf("core: nil IHTL or pool")
-	}
-	return newEngineWorkers(ih, pool, opt, pool.Workers())
-}
-
-// newEngineWorkers is NewEngineOpts with an explicit worker count: the
-// number of distinct worker indices the engine's per-worker state is
-// sized for. The sharded engine builds its sub-engines with each
-// shard's GROUP size and drives their worker bodies with group-local
-// indices inside its own single dispatch.
-func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers int) (*Engine, error) {
 	if ih == nil || pool == nil {
 		return nil, fmt.Errorf("core: nil IHTL or pool")
-	}
-	if nworkers < 1 || nworkers > pool.Workers() {
-		return nil, fmt.Errorf("core: engine worker count %d outside [1, %d]", nworkers, pool.Workers())
 	}
 	if opt.StaticFlipped && opt.AtomicFlipped {
 		return nil, fmt.Errorf("core: StaticFlipped is incompatible with AtomicFlipped (CAS accumulation order is schedule-dependent)")
 	}
-	e := &Engine{ih: ih, pool: pool, atomicFlipped: opt.AtomicFlipped, health: opt.Health, nworkers: nworkers}
+	e := &Engine{ih: ih, pool: pool, atomicFlipped: opt.AtomicFlipped, health: opt.Health}
+	w := pool.Workers()
 	if !e.atomicFlipped {
-		e.bufs = make([][]float64, nworkers)
-		for w := range e.bufs {
-			e.bufs[w] = make([]float64, ih.NumHubs)
+		e.bufs = make([][]float64, w)
+		for i := range e.bufs {
+			e.bufs[i] = make([]float64, ih.NumHubs)
 		}
 	}
 	e.initEncoding(opt.BlockEncoding)
@@ -357,13 +316,12 @@ func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers in
 	} else {
 		// Edge-balanced source chunks per flipped block: the per-block
 		// CSR index arrays give exact per-source edge counts.
-		e.blockTasks, e.tasksPerBlock, e.emptyBlocks = buildBlockTasks(ih, nworkers*4)
+		e.blockTasks, e.tasksPerBlock, e.emptyBlocks = buildBlockTasks(ih, w*4)
 	}
 	if n := ih.NumV - ih.Sparse.DestLo; n > 0 {
-		e.sparseBounds = sched.EdgeBalancedParts(ih.Sparse.Index, nworkers*4)
+		e.sparseBounds = sched.EdgeBalancedParts(ih.Sparse.Index, w*4)
 	}
 	e.initSparseKernel(opt.SparseKernel)
-	w := nworkers
 	e.flipBounds = sched.VertexBalancedParts(len(e.blockTasks), w)
 	e.sparseSched = sched.NewStealScheduler(w)
 	e.blockGate = sched.NewCountdowns(len(ih.Blocks))
@@ -385,10 +343,8 @@ func newEngineWorkers(ih *IHTL, pool *sched.Pool, opt EngineOptions, nworkers in
 }
 
 // Workers returns the number of distinct worker indices a StepEpi
-// epilogue can observe. It equals the pool's worker count for engines
-// built with NewEngineOpts; a sharded engine's sub-engines are sized
-// for their shard group instead.
-func (e *Engine) Workers() int { return e.nworkers }
+// epilogue can observe: the pool's worker count.
+func (e *Engine) Workers() int { return e.pool.Workers() }
 
 // NumVertices implements spmv.Stepper.
 func (e *Engine) NumVertices() int { return e.ih.NumV }
@@ -595,34 +551,15 @@ func (e *Engine) recoverState() {
 //ihtl:noalloc
 func (e *Engine) stepFused(src, dst []float64) {
 	start := time.Now()
-	e.stageFused(src, dst)
-	e.pool.Run(e.fusedJob)
-	e.unstageFused()
-	e.breakdown.Wall += time.Since(start)
-}
-
-// stageFused arms the fused dispatch state for one step over the given
-// vectors without dispatching: sparse scheduler resets,
-// merge-countdown arming, and vector staging. Split from stepFused so the sharded
-// engine can stage every shard's sub-engine and then run all their
-// worker bodies (e.fusedJob) under ONE pool dispatch of its own.
-//
-//ihtl:noalloc
-func (e *Engine) stageFused(src, dst []float64) {
 	e.resetSparseScheds()
 	if !e.atomicFlipped {
 		e.blockGate.Reset(e.tasksPerBlock)
 	}
 	e.curSrc, e.curDst = src, dst
-}
-
-// unstageFused clears the staged vectors and folds the per-worker
-// phase clocks into the breakdown after a fused dispatch completes.
-//
-//ihtl:noalloc
-func (e *Engine) unstageFused() {
+	e.pool.Run(e.fusedJob)
 	e.curSrc, e.curDst = nil, nil
 	e.harvestClocks()
+	e.breakdown.Wall += time.Since(start)
 }
 
 // fusedWorkerBuffered is one worker's share of a fused buffered Step:

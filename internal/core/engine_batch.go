@@ -142,30 +142,22 @@ func (b *batchState) recoverState() {
 	}
 }
 
-// stepFusedBatch mirrors stepFused for a K-wide dispatch.
+// stepFusedBatch mirrors stepFused for a K-wide dispatch: the same
+// scheduler and countdown arming, because the schedules partition
+// tasks, not lanes.
 //
 //ihtl:noalloc
 func (e *Engine) stepFusedBatch(b *batchState, src, dst []float64) {
 	start := time.Now()
-	e.stageFusedBatch(b, src, dst)
-	e.pool.Run(b.fusedJob)
-	e.unstageFused()
-	e.breakdown.Wall += time.Since(start)
-}
-
-// stageFusedBatch is stageFused for a K-wide step: same scheduler and
-// countdown arming (the schedules partition tasks, not lanes), with
-// the vectors staged for b.fusedJob. The countdowns are armed even on
-// an AtomicFlipped engine, because the batch pipeline is always the
-// buffered one. The sharded engine stages every shard's batch state
-// and runs all their worker bodies under one dispatch; unstageFused is
-// the shared teardown.
-//
-//ihtl:noalloc
-func (e *Engine) stageFusedBatch(b *batchState, src, dst []float64) {
 	e.resetSparseScheds()
+	// Armed even on an AtomicFlipped engine: the batch pipeline is
+	// always the buffered one.
 	e.blockGate.Reset(e.tasksPerBlock)
 	e.curSrc, e.curDst = src, dst
+	e.pool.Run(b.fusedJob)
+	e.curSrc, e.curDst = nil, nil
+	e.harvestClocks()
+	e.breakdown.Wall += time.Since(start)
 }
 
 // fusedWorkerBufferedBatch is fusedWorkerBuffered with K-wide lanes:

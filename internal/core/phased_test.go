@@ -18,15 +18,12 @@ func phasedStep(e *Engine, src, dst []float64) {
 	if len(src) != ih.NumV || len(dst) != ih.NumV {
 		panic("core: vector length mismatch")
 	}
-	e.stageFused(src, dst)
+	e.resetSparseScheds()
 	nb := len(ih.Blocks)
 	if e.atomicFlipped {
 		clear(dst[:ih.NumHubs])
 	}
 	e.pool.Run(func(w int) {
-		if w >= e.nworkers {
-			return
-		}
 		for ti := e.flipBounds[w]; ti < e.flipBounds[w+1]; ti++ {
 			bt := &e.blockTasks[ti]
 			fb := &ih.Blocks[bt.block]
@@ -56,21 +53,14 @@ func phasedStep(e *Engine, src, dst []float64) {
 		// Merging a block no task wrote zeroes its hub range, which is
 		// what the fused pipeline does for its edgeless blocks.
 		e.pool.Run(func(w int) {
-			if w >= e.nworkers {
-				return
-			}
-			lo, hi := sched.SplitRange(nb, e.nworkers, w)
+			lo, hi := sched.SplitRange(nb, e.Workers(), w)
 			for b := lo; b < hi; b++ {
 				e.mergeBlock(b, dst)
 			}
 		})
 	}
-	e.pool.Run(func(w int) {
-		if w < e.nworkers {
-			e.sparseWorker(w, src, dst)
-		}
-	})
-	e.unstageFused()
+	e.pool.Run(func(w int) { e.sparseWorker(w, src, dst) })
+	e.harvestClocks()
 }
 
 // phasedEngine steps through phasedStep and batches through the

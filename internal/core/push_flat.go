@@ -5,9 +5,9 @@ import (
 	"ihtl/internal/unchecked"
 )
 
-// The flat (uncompressed) flipped-push kernels: one encoded task's
-// worth of src[s] -> hub scatter, shared by the scalar and sharded
-// workers so the inner loop exists exactly once per shape.
+// The flat (uncompressed) flipped-push kernels: one task's worth of
+// src[s] -> hub scatter, called by every worker body so the inner loop
+// exists exactly once per shape.
 // These are the Algorithm 3 lines 1-4 inner loops; together with
 // their varint twins in encoding.go they are //ihtl:nobce — the
 // ihtlvet -bce gate pins them free of per-edge bounds checks, which

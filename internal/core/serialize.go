@@ -188,8 +188,61 @@ func ReadIHTL(r io.Reader) (*IHTL, error) {
 	if total != ih.NumE {
 		return nil, fmt.Errorf("core: blocks cover %d edges, header says %d", total, ih.NumE)
 	}
+	if err := ih.checkShape(); err != nil {
+		return nil, err
+	}
 	ih.params = Params{HubsPerBlock: ih.HubsPerBlock}.withDefaults()
 	return ih, nil
+}
+
+// checkShape verifies the layout the engine kernels assume of a graph
+// read from a file, beyond the per-section checks of each reader: the
+// flipped blocks tile the hub range [0, NumHubs) in order, the sparse
+// block covers every destination from NumHubs on, every Index starts
+// at 0, never decreases and has one offset per row plus one, and any
+// resident flat adjacency holds exactly the edges its Index counts.
+// The kernels index through unchecked accessors, so a graph breaking
+// one of these would read or write out of bounds instead of failing.
+func (ih *IHTL) checkShape() error {
+	hub := 0
+	for i := range ih.Blocks {
+		fb := &ih.Blocks[i]
+		if fb.HubLo != hub || fb.HubHi < fb.HubLo {
+			return fmt.Errorf("core: block %d hub range [%d,%d) does not continue the hub tiling at %d", i, fb.HubLo, fb.HubHi, hub)
+		}
+		hub = fb.HubHi
+		if err := checkIndex(fb.Index, ih.NumPushSources(), fb.Dsts); err != nil {
+			return fmt.Errorf("core: block %d: %w", i, err)
+		}
+	}
+	if hub != ih.NumHubs {
+		return fmt.Errorf("core: blocks cover hubs [0,%d), want [0,%d)", hub, ih.NumHubs)
+	}
+	sp := &ih.Sparse
+	if sp.DestLo != ih.NumHubs {
+		return fmt.Errorf("core: sparse block starts at %d, want %d", sp.DestLo, ih.NumHubs)
+	}
+	if err := checkIndex(sp.Index, ih.NumV-sp.DestLo, sp.Srcs); err != nil {
+		return fmt.Errorf("core: sparse block: %w", err)
+	}
+	return nil
+}
+
+// checkIndex verifies one CSR offset array over rows rows and, when
+// the flat adjacency adj is resident, its length.
+func checkIndex(idx []int64, rows int, adj []graph.VID) error {
+	if len(idx) != rows+1 || idx[0] != 0 {
+		return fmt.Errorf("index has %d offsets for %d rows", len(idx), rows)
+	}
+	for i := 1; i < len(idx); i++ {
+		if idx[i] < idx[i-1] {
+			return fmt.Errorf("index decreases at row %d", i-1)
+		}
+	}
+	if adj != nil && int64(len(adj)) != idx[rows] {
+		return fmt.Errorf("%d neighbours for %d indexed edges", len(adj), idx[rows])
+	}
+	return nil
 }
 
 // SaveFile writes ih to path, atomically replacing any existing file.

@@ -124,3 +124,41 @@ func TestReadIHTLRejectsCorruption(t *testing.T) {
 		t.Error("corrupt relabeling accepted")
 	}
 }
+
+// TestReadersRejectBadShape: both file readers refuse graphs whose
+// sections are each well formed but whose layout breaks what the
+// engine kernels assume (checkShape), instead of handing the unchecked
+// kernels a graph they would step out of bounds.
+func TestReadersRejectBadShape(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(ih *IHTL)
+	}{
+		{"sparse block misplaced", func(ih *IHTL) { ih.Sparse.DestLo++ }},
+		{"blocks out of order", func(ih *IHTL) { ih.Blocks[0], ih.Blocks[1] = ih.Blocks[1], ih.Blocks[0] }},
+		{"index decreases", func(ih *IHTL) {
+			idx := ih.Blocks[0].Index
+			idx[1] = idx[len(idx)-1] + 1
+		}},
+	} {
+		ih := buildV2TestGraph(t)
+		if len(ih.Blocks) < 2 || len(ih.Blocks[0].Index) < 3 {
+			t.Fatal("fixture needs two blocks of at least two rows")
+		}
+		ih.EnsureEncoded()
+		tc.mut(ih)
+		var v1, v2 bytes.Buffer
+		if _, err := ih.WriteTo(&v1); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ih.WriteToV2(&v2); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadIHTL(&v1); err == nil {
+			t.Errorf("%s: v1 reader accepted the graph", tc.name)
+		}
+		if _, err := ReadIHTL(&v2); err == nil {
+			t.Errorf("%s: v2 reader accepted the graph", tc.name)
+		}
+	}
+}

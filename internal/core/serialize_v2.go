@@ -225,21 +225,13 @@ func (vw *v2writer) chunked(ck *compress.Chunked) {
 // old files keep working everywhere.
 type EngineFile struct {
 	ih     *IHTL
-	sg     *ShardedIHTL
 	data   []byte
 	mapped bool
 }
 
-// IHTL returns the opened graph — nil for a sharded (v3) file, whose
-// graph is returned by Sharded instead. For a mapped file it stays
-// valid only until Close.
+// IHTL returns the opened graph. For a mapped file it stays valid only
+// until Close.
 func (ef *EngineFile) IHTL() *IHTL { return ef.ih }
-
-// Sharded returns the opened sharded graph of a version-3 file, or nil
-// for single-graph files. Every shard's topology aliases the shared
-// mapping, so per-shard sections page in on first touch like a v2
-// file's.
-func (ef *EngineFile) Sharded() *ShardedIHTL { return ef.sg }
 
 // Mapped reports whether the topology is memory-mapped (true only for
 // v2 files on platforms where the mmap succeeded).
@@ -249,7 +241,7 @@ func (ef *EngineFile) Mapped() bool { return ef.mapped }
 // must not be used afterwards.
 func (ef *EngineFile) Close() error {
 	data, mapped := ef.data, ef.mapped
-	ef.ih, ef.sg, ef.data, ef.mapped = nil, nil, nil, false
+	ef.ih, ef.data, ef.mapped = nil, nil, false
 	if mapped {
 		return unmapFile(data)
 	}
@@ -302,23 +294,6 @@ func OpenEngineFile(path string) (*EngineFile, error) {
 			return nil, fmt.Errorf("core: %s: %w", path, err)
 		}
 		return &EngineFile{ih: ih, data: data, mapped: mapped}, nil
-	case ihtlVersion3:
-		st, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		data, mapped, err := mapFile(f, st.Size())
-		if err != nil {
-			return nil, err
-		}
-		sg, err := parseV3(data)
-		if err != nil {
-			if mapped {
-				unmapFile(data)
-			}
-			return nil, fmt.Errorf("core: %s: %w", path, err)
-		}
-		return &EngineFile{sg: sg, data: data, mapped: mapped}, nil
 	default:
 		return nil, fmt.Errorf("core: %s: unsupported version %d", path, version)
 	}
@@ -452,10 +427,15 @@ func (c *v2cursor) aliasI64(n int) ([]int64, error) {
 }
 
 // chunked parses one chunked adjacency segment and gates it behind
-// compress.Chunked.Validate before anything downstream trusts the
-// unchecked decoder on it. wantSrc/wantEdges pin the segment to the
-// block's Index array.
-func (c *v2cursor) chunked(label string, maxDst uint32, wantSrc int, wantEdges int64) (*compress.Chunked, error) {
+// compress.Chunked.ValidateRows before anything downstream trusts the
+// unchecked decoder on it: every neighbour in [minDst, maxDst), and
+// every row's degree equal to the one the block's index gives it.
+func (c *v2cursor) chunked(label string, minDst, maxDst uint32, index []int64) (*compress.Chunked, error) {
+	wantSrc := max(len(index)-1, 0)
+	var wantEdges int64
+	if len(index) > 1 {
+		wantEdges = index[len(index)-1]
+	}
 	var m [6]uint64
 	for i := range m {
 		v, err := c.u64()
@@ -505,7 +485,7 @@ func (c *v2cursor) chunked(label string, maxDst uint32, wantSrc int, wantEdges i
 		ByteOff:  byteOff,
 		Data:     data,
 	}
-	if err := ck.Validate(maxDst); err != nil {
+	if err := ck.ValidateRows(minDst, maxDst, index); err != nil {
 		return nil, fmt.Errorf("core: %s: %w", label, err)
 	}
 	return ck, nil
@@ -609,11 +589,7 @@ func parseV2(data []byte) (*IHTL, error) {
 		if edges < 0 || edges > int64(numE) {
 			return nil, fmt.Errorf("core: block %d edge count %d invalid", i, edges)
 		}
-		nsrc := len(fb.Index) - 1
-		if nsrc < 0 {
-			nsrc = 0
-		}
-		if fb.Enc, err = c.chunked(fmt.Sprintf("block %d", i), hubHi, nsrc, edges); err != nil {
+		if fb.Enc, err = c.chunked(fmt.Sprintf("block %d", i), hubLo, hubHi, fb.Index); err != nil {
 			return nil, err
 		}
 		total += edges
@@ -635,11 +611,7 @@ func parseV2(data []byte) (*IHTL, error) {
 	if sEdges < 0 || sEdges > int64(numE) {
 		return nil, fmt.Errorf("core: sparse edge count %d invalid", sEdges)
 	}
-	nsrc := len(ih.Sparse.Index) - 1
-	if nsrc < 0 {
-		nsrc = 0
-	}
-	if ih.Sparse.Enc, err = c.chunked("sparse block", numV, nsrc, sEdges); err != nil {
+	if ih.Sparse.Enc, err = c.chunked("sparse block", 0, numV, ih.Sparse.Index); err != nil {
 		return nil, err
 	}
 	total += sEdges
@@ -652,6 +624,9 @@ func parseV2(data []byte) (*IHTL, error) {
 	c.align64()
 	if c.off != int64(len(data)) {
 		return nil, fmt.Errorf("core: v2 size mismatch (%d bytes parsed, %d in file)", c.off, len(data))
+	}
+	if err := ih.checkShape(); err != nil {
+		return nil, err
 	}
 	ih.params = Params{HubsPerBlock: ih.HubsPerBlock}.withDefaults()
 	return ih, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ihtl/internal/gen"
@@ -213,4 +214,65 @@ func TestV2RejectsCorruption(t *testing.T) {
 		bad[off] ^= 0xA5
 		try("flip", bad)
 	}
+}
+
+// TestV3FileRejected: version 3 was the sharded multi-graph container,
+// whose reader is gone. Every entry point must refuse such a file with
+// an error naming the version, without panicking and without leaving
+// the file mapped.
+func TestV3FileRejected(t *testing.T) {
+	dir := t.TempDir()
+	v2 := filepath.Join(dir, "g.ihtl2")
+	if err := buildV2TestGraph(t).SaveFileV2(v2); err != nil {
+		t.Fatal(err)
+	}
+	// Positive control: the mapping check sees a mapped v2 file until
+	// Close, so its silence below means something.
+	ef, err := OpenEngineFile(v2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ef.Mapped() && !mappedInProcess(t, v2) {
+		t.Fatal("mapping check cannot see an open v2 mapping")
+	}
+	ef.Close()
+	if mappedInProcess(t, v2) {
+		t.Fatal("v2 file still mapped after Close")
+	}
+
+	v3 := filepath.Join(dir, "g.ihtl3")
+	if err := os.WriteFile(v3, v3Header(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantUnsupported := func(name string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "unsupported version 3") {
+			t.Fatalf("%s: err = %v, want an unsupported version 3 error", name, err)
+		}
+	}
+	ef, err = OpenEngineFile(v3)
+	if ef != nil {
+		t.Fatal("OpenEngineFile returned a file for version 3")
+	}
+	wantUnsupported("OpenEngineFile", err)
+	_, err = ReadIHTL(bytes.NewReader(v3Header()))
+	wantUnsupported("ReadIHTL", err)
+	_, err = LoadFile(v3)
+	wantUnsupported("LoadFile", err)
+	if mappedInProcess(t, v3) {
+		t.Fatal("rejected version-3 file left mapped")
+	}
+}
+
+// mappedInProcess reports whether path appears among this process's
+// memory mappings; false (with a log line) where the kernel does not
+// expose them.
+func mappedInProcess(t *testing.T, path string) bool {
+	t.Helper()
+	maps, err := os.ReadFile("/proc/self/maps")
+	if err != nil {
+		t.Logf("mapping check unavailable: %v", err)
+		return false
+	}
+	return bytes.Contains(maps, []byte(path))
 }

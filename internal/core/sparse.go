@@ -85,7 +85,7 @@ func (e *Engine) initSparseKernel(kernel SparseKernel) {
 	if n <= 0 {
 		return
 	}
-	w := e.nworkers
+	w := e.pool.Workers()
 	switch kernel {
 	case SparsePullDegree:
 		sp := &ih.Sparse

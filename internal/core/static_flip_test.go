@@ -9,7 +9,7 @@ import (
 )
 
 // detEngine is the stepping surface the determinism properties cover:
-// Engine and ShardedEngine both provide it.
+// Engine and phasedEngine both provide it.
 type detEngine interface {
 	Step(src, dst []float64)
 	StepBatch(src, dst []float64, k int)
@@ -18,8 +18,8 @@ type detEngine interface {
 // detVariants are the engine shapes every default-options engine
 // promises bit-for-bit reproducibility for: the fused pipeline over
 // both block encodings, the same engine stepped phase by phase
-// (phasedStep; its StepBatch is the engine's own), and a 2-shard
-// engine. None sets StaticFlipped: the fixed flipped partition is the
+// (phasedStep; its StepBatch is the engine's own). None sets
+// StaticFlipped: the fixed flipped partition is the
 // only schedule. build returns the engine and the permutation from its
 // ID space to original IDs.
 var detVariants = []struct {
@@ -35,17 +35,6 @@ var detVariants = []struct {
 	{"phased", func(t *testing.T, g *graph.Graph, p Params) (detEngine, func(in, out []float64)) {
 		e, toOld := buildDetEngine(t, g, p, EngineOptions{})
 		return phasedEngine{e.(*Engine)}, toOld
-	}},
-	{"sharded-2", func(t *testing.T, g *graph.Graph, p Params) (detEngine, func(in, out []float64)) {
-		sg, err := BuildSharded(g, p, testPool, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		se, err := NewShardedEngine(sg, testPool)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return se, sg.PermuteToOld
 	}},
 }
 

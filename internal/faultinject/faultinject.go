@@ -57,12 +57,6 @@ const (
 	// relabel/rank/CSR-fill passes of parallel iHTL construction, so
 	// fault plans can land inside BuildWithCtx's Fallible region.
 	SiteBuildFill Site = "core.build-fill"
-	// SiteShardPush fires once per claimed source chunk of the sharded
-	// engine's cross-shard exchange bin phase.
-	SiteShardPush Site = "core.shard-push"
-	// SiteShardExchange fires once per claimed destination bucket of
-	// the sharded engine's cross-shard exchange drain phase.
-	SiteShardExchange Site = "core.shard-exchange"
 	// SiteServeAdmit fires once per admission decision in the query
 	// daemon, before the request is queued or shed.
 	SiteServeAdmit Site = "serve.admit"

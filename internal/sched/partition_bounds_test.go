@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"runtime"
-	"testing"
-)
+import "testing"
 
 // checkBounds asserts bounds are monotone and cover [0, n].
 func checkBounds(t *testing.T, label string, bounds []int, nparts, n int) {
@@ -123,65 +120,4 @@ func TestEdgeBalancedPartsListBoundaries(t *testing.T) {
 	if bounds[1] != 2 {
 		t.Fatalf("all-equal weights: middle boundary %d, want 2", bounds[1])
 	}
-}
-
-// TestShardGroups pins the worker→shard affinity map in both regimes:
-// W ≥ N (disjoint worker groups, one shard each) and W < N (each
-// worker serves a run of shards alone).
-func TestShardGroups(t *testing.T) {
-	for _, tc := range []struct{ workers, shards int }{
-		{1, 1}, {1, 4}, {2, 5}, {3, 7}, // W < N (and 1/1)
-		{4, 4}, {5, 2}, {8, 3}, // W >= N
-		{runtime.GOMAXPROCS(0) + 2, 4},
-	} {
-		sg := NewShardGroups(tc.workers, tc.shards)
-		served := make([]int, tc.shards) // how many workers serve each shard
-		locals := make(map[[2]int]bool)  // (shard, local index) uniqueness
-		for w := 0; w < tc.workers; w++ {
-			lo, hi := sg.Shards(w)
-			if lo < 0 || hi > tc.shards {
-				t.Fatalf("w%d/n%d: worker %d serves [%d, %d) outside [0, %d)",
-					tc.workers, tc.shards, w, lo, hi, tc.shards)
-			}
-			for s := lo; s < hi; s++ {
-				served[s]++
-				l := sg.Local(w, s)
-				if l < 0 || l >= sg.Size(s) {
-					t.Fatalf("w%d/n%d: Local(%d, %d) = %d outside [0, %d)",
-						tc.workers, tc.shards, w, s, l, sg.Size(s))
-				}
-				if locals[[2]int{s, l}] {
-					t.Fatalf("w%d/n%d: two workers share local index %d of shard %d",
-						tc.workers, tc.shards, l, s)
-				}
-				locals[[2]int{s, l}] = true
-			}
-		}
-		for s, n := range served {
-			if n != sg.Size(s) {
-				t.Fatalf("w%d/n%d: shard %d served by %d workers, Size says %d",
-					tc.workers, tc.shards, s, n, sg.Size(s))
-			}
-			if n < 1 {
-				t.Fatalf("w%d/n%d: shard %d served by no worker", tc.workers, tc.shards, s)
-			}
-		}
-		// Every worker index must be covered: total (shard, local)
-		// assignments ≥ workers when W ≥ N, == workers·shards-runs
-		// otherwise; the uniqueness + Size checks above already pin the
-		// partition, so just check no worker was left idle in W ≤ N.
-		if tc.workers <= tc.shards {
-			for w := 0; w < tc.workers; w++ {
-				if lo, hi := sg.Shards(w); hi <= lo {
-					t.Fatalf("w%d/n%d: worker %d serves no shard", tc.workers, tc.shards, w)
-				}
-			}
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewShardGroups(0, 1) did not panic")
-		}
-	}()
-	NewShardGroups(0, 1)
 }

@@ -8,7 +8,7 @@
 //
 // Shed requests answer 429 with Retry-After; deadline-expired queries
 // answer 200 with converged=false and the partial ranks (degraded
-// mode). Every request is logged structurally (method, path, status,
+// mode). POST bodies over maxBodyBytes answer 413. Every request is logged structurally (method, path, status,
 // duration).
 package serve
 
@@ -66,6 +66,36 @@ func writeErr(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes caps a POST body. A query body is well under 1 KiB and
+// 1 MiB still holds a PPR job of over 100k sources, so the cap only
+// bounds what a misbehaving client can make the daemon buffer.
+const maxBodyBytes = 1 << 20
+
+var errBodyTooLarge = errors.New("serve: request body too large")
+
+// decodeBody decodes r's JSON body into v, reading at most
+// maxBodyBytes, and answers the request itself on failure: 413 for a
+// body over the cap (a declared Content-Length over it is refused
+// before any read), 400 for a malformed one. It reports whether v was
+// decoded.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	if r.ContentLength > maxBodyBytes {
+		writeErr(w, http.StatusRequestEntityTooLarge, errBodyTooLarge)
+		return false
+	}
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, errBodyTooLarge)
+	case err != nil:
+		writeErr(w, http.StatusBadRequest, err)
+	default:
+		return true
+	}
+	return false
+}
+
 // pprRequest is the query body. Top selects how many of the highest
 // ranks to return (default 10); Ranks requests the full dense vector
 // (heavyweight — meant for verification harnesses, not serving).
@@ -92,8 +122,7 @@ type pprResponse struct {
 
 func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	var req pprRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	timeout := s.cfg.DefaultTimeout
@@ -163,8 +192,7 @@ type jobCreateRequest struct {
 
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var req jobCreateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	id, err := s.StartJob(req.Algo, req.Sources, req.Opts)

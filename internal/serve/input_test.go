@@ -1,0 +1,72 @@
+package serve
+
+import (
+	"bytes"
+	"encoding/binary"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"strings"
+	"testing"
+)
+
+// failingBody fails the test if the handler reads it.
+type failingBody struct{ t *testing.T }
+
+func (b failingBody) Read([]byte) (int, error) {
+	b.t.Error("handler read a body whose declared length is over the cap")
+	return 0, io.EOF
+}
+
+// TestServeBodyCap: both POST endpoints answer 413 to a body over
+// maxBodyBytes. A declared Content-Length over the cap is refused
+// without reading the body; a body streamed without a length is cut
+// off at the cap.
+func TestServeBodyCap(t *testing.T) {
+	s := startServer(t, testConfig(testEngineFile(t, 6, 1, 3)))
+	h := s.Handler()
+	for _, path := range []string{"/v1/ppr", "/v1/jobs"} {
+		req := httptest.NewRequest(http.MethodPost, path, failingBody{t})
+		req.ContentLength = maxBodyBytes + 1
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s, declared length: status %d, want 413", path, rec.Code)
+		}
+
+		stream := io.MultiReader(
+			strings.NewReader(`{"algo": "ppr", "sources": [`),
+			strings.NewReader(strings.Repeat("1,", maxBodyBytes/2)),
+			strings.NewReader(`1]}`))
+		req = httptest.NewRequest(http.MethodPost, path, stream)
+		req.ContentLength = -1
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s, streamed: status %d, want 413", path, rec.Code)
+		}
+	}
+}
+
+// TestServeRejectsV3EngineFile: the daemon refuses a version-3 (sharded
+// container) engine file at startup with an error naming the version,
+// and does not leave it mapped.
+func TestServeRejectsV3EngineFile(t *testing.T) {
+	path := testEngineFile(t, 6, 1, 3)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(data[8:12], 3)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(testConfig(path))
+	if s != nil || err == nil || !strings.Contains(err.Error(), "unsupported version 3") {
+		t.Fatalf("New on a version-3 file: server %v, err %v; want an unsupported version 3 error", s, err)
+	}
+	if maps, err := os.ReadFile("/proc/self/maps"); err == nil && bytes.Contains(maps, []byte(path)) {
+		t.Fatal("rejected version-3 engine file left mapped")
+	}
+}

@@ -49,7 +49,7 @@ var errDraining = errors.New("serve: shutting down")
 // defaults.
 type Config struct {
 	// EnginePath is the serialised engine graph (ihtlconvert output,
-	// any version; v2/v3 files are memory-mapped).
+	// version 1 or 2; v2 files are memory-mapped).
 	EnginePath string
 	// SpoolDir holds the checkpoint spool. Created if missing.
 	SpoolDir string
@@ -126,19 +126,12 @@ type nullWriter struct{}
 
 func (nullWriter) Write(p []byte) (int, error) { return len(p), nil }
 
-// engine is the stepping surface serve needs; *core.Engine and
-// *core.ShardedEngine both provide it (plus the ctx-aware methods the
-// analytics drivers sniff for).
-type engine interface {
-	spmv.BatchStepper
-}
-
 // slot is one unit of batch concurrency: a dedicated pool + engine
 // pair, because an engine's step state is exclusive to one dispatch
 // at a time.
 type slot struct {
 	pool *sched.Pool
-	eng  engine
+	eng  *core.Engine
 }
 
 // Server is the daemon state. Create with New, serve Handler(), stop
@@ -187,14 +180,8 @@ func New(cfg Config) (*Server, error) {
 		done:  make(chan struct{}),
 	}
 	s.baseCtx, s.hardCancel = context.WithCancel(context.Background())
-	if ih := ef.IHTL(); ih != nil {
-		s.n, s.newID, s.oldID, s.outDeg = ih.NumV, ih.NewID, ih.OldID, ih.OutDegrees()
-	} else if sg := ef.Sharded(); sg != nil {
-		s.n, s.newID, s.oldID, s.outDeg = sg.NumV, sg.NewID, sg.OldID, sg.OutDegrees()
-	} else {
-		ef.Close()
-		return nil, fmt.Errorf("serve: %s holds no graph", cfg.EnginePath)
-	}
+	ih := ef.IHTL()
+	s.n, s.newID, s.oldID, s.outDeg = ih.NumV, ih.NewID, ih.OldID, ih.OutDegrees()
 	for i := 0; i < cfg.Slots; i++ {
 		sl, err := s.newSlot()
 		if err != nil {
@@ -235,12 +222,9 @@ func (s *Server) newSlot() (*slot, error) {
 	return &slot{pool: pool, eng: eng}, nil
 }
 
-func (s *Server) newEngine(pool *sched.Pool) (engine, error) {
+func (s *Server) newEngine(pool *sched.Pool) (*core.Engine, error) {
 	opt := core.EngineOptions{Health: spmv.HealthPolicy{Mode: spmv.HealthRollback}}
-	if ih := s.ef.IHTL(); ih != nil {
-		return core.NewEngineOpts(ih, pool, opt)
-	}
-	return core.NewShardedEngineOpts(s.ef.Sharded(), pool, opt)
+	return core.NewEngineOpts(s.ef.IHTL(), pool, opt)
 }
 
 func (s *Server) closeSlots() {

@@ -1,9 +1,9 @@
 package spmv
 
-// Propagation-blocked push (Balaji & Lucia): a whole-graph baseline
-// with the same bin/drain discipline as the sharded iHTL engine's
-// cross-shard exchange, kept as an independent implementation for
-// differential testing and for the bench ablations. One Step runs two phases over the push CSR:
+// Propagation-blocked push (Balaji & Lucia): a whole-graph baseline,
+// one of the paper's Fig. 7 comparison columns, kept for differential
+// testing and for the bench ablations. One Step runs two phases over
+// the push CSR:
 //
 //	bin:   sweep sources in ascending order (sequential src reads),
 //	       appending (dst, x) pairs into per-(chunk, bucket) segments
@@ -80,8 +80,9 @@ func buildPBPlan(e *Engine, bucketRows, nparts int) *pbPlan {
 	return p
 }
 
-// binWorker bins the claimed source chunks; see core/sparse.go's
-// pbBinChunk for the cursor-staging scheme.
+// binWorker bins the claimed source chunks. Each chunk restarts its
+// bucket cursors at the chunk's precomputed segment offsets, so it
+// appends only into its own exact-capacity segments.
 //
 //ihtl:noalloc
 func (e *Engine) binWorker(w, lo, hi int) {

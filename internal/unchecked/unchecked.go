@@ -1,9 +1,8 @@
 //go:build !ihtlchecked
 
 // Package unchecked provides bounds-check-free slice access for the
-// //ihtl:nobce kernels. The flipped push, varint decode, sparse pull
-// and exchange bin/drain loops index by graph data —
-// vertex IDs, CSR offsets, byte cursors — that no bounds-check-
+// //ihtl:nobce kernels. The flipped push, varint decode and sparse
+// pull loops index by graph data — vertex IDs, CSR offsets, byte cursors — that no bounds-check-
 // elimination analysis can prove in range, so in safe Go every gather
 // and scatter in those loops pays a per-edge check. These helpers
 // perform the access without it; the ihtlvet -bce gate then pins the
