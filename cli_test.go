@@ -4,8 +4,11 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"ihtl/internal/core"
 )
 
 // TestCLIPipeline is the end-to-end integration test of the command-
@@ -52,24 +55,32 @@ func TestCLIPipeline(t *testing.T) {
 	if !strings.Contains(out, "built iHTL graph") {
 		t.Fatalf("ihtlconvert output: %s", out)
 	}
-	// Upgrade the v1 engine file to the mmap-friendly v2 layout; the
-	// varint sections must come out smaller than the flat v1 adjacency.
+	// Upgrade the v1 engine file to the mapped layout; the mapped file
+	// must open to the same topology, array for array.
 	ihtl2Path := filepath.Join(dir, "g.ihtl2")
 	out = run("ihtlconvert", "-i", ihtlPath, "-from", "ihtl", "-to", "ihtlv2", "-o", ihtl2Path)
 	if !strings.Contains(out, "iHTL graph") {
 		t.Fatalf("ihtlconvert -from ihtl output: %s", out)
 	}
-	v1Info, err := os.Stat(ihtlPath)
+	v1, err := core.LoadFile(ihtlPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2Info, err := os.Stat(ihtl2Path)
+	ef, err := core.OpenEngineFile(ihtl2Path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v2Info.Size() >= v1Info.Size() {
-		t.Fatalf("v2 engine file %d B >= v1 %d B", v2Info.Size(), v1Info.Size())
+	mapped := ef.IHTL()
+	if mapped.NumE != v1.NumE || len(mapped.Blocks) != len(v1.Blocks) ||
+		!slices.Equal(mapped.NewID, v1.NewID) || !slices.Equal(mapped.Sparse.Srcs, v1.Sparse.Srcs) {
+		t.Fatal("mapped engine file differs from its version-1 source")
 	}
+	for b := range v1.Blocks {
+		if !slices.Equal(mapped.Blocks[b].Dsts, v1.Blocks[b].Dsts) || !slices.Equal(mapped.Blocks[b].Index, v1.Blocks[b].Index) {
+			t.Fatalf("mapped engine file block %d differs from its version-1 source", b)
+		}
+	}
+	ef.Close()
 
 	flatInfo, err := os.Stat(graphPath)
 	if err != nil {

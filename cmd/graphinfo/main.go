@@ -65,8 +65,6 @@ func main() {
 	fmt.Printf("  topology:        %.2f MiB vs %.2f MiB CSC (%.1f%% overhead)\n",
 		float64(s.TopologyBytes)/(1<<20), float64(s.CSCBytes)/(1<<20), 100*s.OverheadFrac)
 
-	printCompression(os.Stdout, ih)
-
 	if *reuse {
 		const vertexBytes, lineBytes = 8, 64
 		pull := trace.ReuseDistances(trace.PullRandomStream(g, vertexBytes, lineBytes))

@@ -30,7 +30,6 @@ func main() {
 		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		stepjson  = flag.String("stepjson", "", "measure per-kernel step times and write them as JSON to this path (e.g. results/BENCH_step.json), then exit")
 		batch     = flag.Bool("batch", false, "with -stepjson: also sweep the batched (multi-vector) kernels at K = 1,4,8,16 over the batch registry (rmat18 + sk-s)")
-		encjson   = flag.String("encjson", "", "run the flat-vs-varint block-encoding ablation (plus the scale-18 mmap residency comparison) and write it as JSON to this path (e.g. results/BENCH_compress.json), then exit")
 		buildjson = flag.String("buildjson", "", "measure sequential and parallel preprocessing times (graph build, rank, select, relabel, blocks) and write them as JSON to this path (e.g. results/BENCH_build.json), then exit")
 		faults    = flag.String("faults", "", "run the fault-recovery smoke (PageRank with seeded cancel/NaN/panic faults vs clean) and write the timings as JSON to this path (e.g. results/BENCH_faults.json), then exit")
 		faultseed = flag.Uint64("faultseed", 1, "with -faults: seed deriving the fault iterations")
@@ -114,24 +113,6 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("wrote %d measurements to %s\n", len(rep.Results), *buildjson)
-		return
-	}
-
-	if *encjson != "" {
-		// The ablation runs on its own registry (scale-14 R-MAT + the
-		// SK-Domain web analog) unless datasets were named explicitly.
-		abl := bench.EncRegistry()
-		if *datasets != "" {
-			abl = selected
-		}
-		rep, err := bench.RunEncJSON(env, abl)
-		if err != nil {
-			fatal(err)
-		}
-		if err := bench.WriteEncJSON(*encjson, rep); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %d measurements to %s\n", len(rep.Results), *encjson)
 		return
 	}
 

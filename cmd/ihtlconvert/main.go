@@ -13,8 +13,9 @@
 //	ihtlconvert -i graph.ihtl -from ihtl -to ihtlv2 -o graph.ihtl2
 //	ihtlconvert -i graph.bin -to edgelist -o graph.txt
 //
-// -from ihtl reads a serialised engine file of either version, so old
-// v1 binaries upgrade to the mmap-friendly v2 layout in one pass.
+// -from ihtl reads a serialised engine file of version 1 or 4, so old
+// v1 binaries upgrade to the mapped layout SaveFileV2 writes (header
+// version 4) in one pass.
 package main
 
 import (
@@ -93,9 +94,7 @@ func main() {
 	case "edgelist":
 		err = atomicio.WriteFile(*out, g.WriteEdgeList)
 	case "ihtl":
-		b := buildIHTL()
-		b.EnsureFlatTopology() // the v1 format stores the flat adjacency
-		err = b.SaveFile(*out)
+		err = buildIHTL().SaveFile(*out)
 	case "ihtlv2":
 		err = buildIHTL().SaveFileV2(*out)
 	default:

@@ -108,7 +108,7 @@ func TestGateWaiverIndex(t *testing.T) {
 	if total == 0 {
 		t.Fatal("no //ihtl:nobce functions indexed; the kernel annotations are gone or the loader is broken")
 	}
-	for _, fn := range []string{"pushTaskFlat", "sparseRowSumEnc", "sparsePullRange", "DecodeChunkCSR"} {
+	for _, fn := range []string{"pushTaskFlat", "pushTaskFlatBatch", "sparsePullRange", "sparseLightPart"} {
 		found := false
 		for _, frs := range nobce {
 			for _, fr := range frs {

@@ -27,7 +27,6 @@ func main() {
 		in      = flag.String("i", "", "input graph file")
 		engine  = flag.String("engine", "ihtl", "engine: ihtl | pull | push-atomic | push-buffered | push-partitioned | prop-blocked")
 		sparse  = flag.String("sparse", "auto", "iHTL sparse-block kernel: auto | pull | pull-degree")
-		enc     = flag.String("encoding", "auto", "iHTL block-topology encoding: auto | flat | varint")
 		iters   = flag.Int("iters", 20, "PageRank iterations")
 		top     = flag.Int("top", 10, "print the top-K ranked vertices")
 		workers = flag.Int("workers", 0, "worker count (0 = GOMAXPROCS)")
@@ -55,15 +54,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		encoding, err := core.ParseBlockEncoding(*enc)
-		if err != nil {
-			fatal(err)
-		}
 		ih, err := core.Build(g, core.Params{HubsPerBlock: *hpb})
 		if err != nil {
 			fatal(err)
 		}
-		e, err := core.NewEngineOpts(ih, pool, core.EngineOptions{SparseKernel: kernel, BlockEncoding: encoding})
+		e, err := core.NewEngineOpts(ih, pool, core.EngineOptions{SparseKernel: kernel})
 		if err != nil {
 			fatal(err)
 		}

@@ -72,8 +72,8 @@ type Stepper = spmv.Stepper
 type PageRankOptions = analytics.PageRankOptions
 
 // EngineOptions tunes the iHTL engine beyond Params: the scalar
-// AtomicFlipped ablation, the sparse-block kernel, the block encoding,
-// and the opt-in numeric-health watchdog.
+// AtomicFlipped ablation, the sparse-block kernel and the opt-in
+// numeric-health watchdog.
 type EngineOptions = core.EngineOptions
 
 // SparseKernel selects the engine's sparse-block kernel via
@@ -93,36 +93,17 @@ const (
 // "pull-degree") as used by the CLI -sparse flags.
 func ParseSparseKernel(s string) (SparseKernel, error) { return core.ParseSparseKernel(s) }
 
-// BlockEncoding selects how the engine stores and traverses block
-// adjacency via EngineOptions.BlockEncoding; see the constants below.
-type BlockEncoding = core.BlockEncoding
-
-// Block encodings: auto (flat when the flat arrays are resident,
-// varint for engines over graphs loaded encoded-only from a v2 engine
-// file), the flat uint32 adjacency arrays, and the chunked varint-gap
-// encoding decoded into per-worker scratch inside the fused dispatch.
-// Both encodings produce bit-for-bit identical results; they differ
-// only in resident footprint and stream width.
-const (
-	EncodingAuto   = core.EncodingAuto
-	EncodingFlat   = core.EncodingFlat
-	EncodingVarint = core.EncodingVarint
-)
-
-// ParseBlockEncoding parses a block-encoding name ("auto", "flat",
-// "varint") as used by the CLI -encoding flags.
-func ParseBlockEncoding(s string) (BlockEncoding, error) { return core.ParseBlockEncoding(s) }
-
 // EngineFile is a serialised iHTL graph opened by OpenEngineFile —
-// memory-mapped when the file is in the v2 segment format and the
-// platform allows it, resident otherwise. Close releases the mapping;
-// the IHTL (and engines over it) must not be used afterwards.
+// memory-mapped when the file is in the SaveFileV2 format (header
+// version 4) and the platform allows it, resident otherwise. Close
+// releases the mapping; the IHTL (and engines over it) must not be
+// used afterwards.
 type EngineFile = core.EngineFile
 
-// OpenEngineFile opens a serialised iHTL graph (either on-disk
-// version). v2 files map lazily: the topology pages in on demand and
-// engines resolve BlockEncoding auto to varint, so a billion-edge
-// graph opens without materialising flat adjacency.
+// OpenEngineFile opens a serialised iHTL graph (version 1 or 4).
+// Version-4 files map lazily: the flat topology pages in on demand and
+// engines step it in place with the resident kernels, so a
+// billion-edge graph opens without copying its adjacency to the heap.
 func OpenEngineFile(path string) (*EngineFile, error) { return core.OpenEngineFile(path) }
 
 // HealthPolicy configures the opt-in numeric watchdog: the SpMV
@@ -250,8 +231,8 @@ func NewEngine(g *Graph, pool *Pool, p Params) (*Engine, error) {
 }
 
 // NewEngineOpts is NewEngine with explicit engine options (the scalar
-// AtomicFlipped ablation, the numeric-health watchdog, the sparse
-// kernel and block encoding) and a context governing the preprocessing build:
+// AtomicFlipped ablation, the numeric-health watchdog and the sparse
+// kernel) and a context governing the preprocessing build:
 // cancelling ctx aborts hub ranking, relabeling and block construction
 // between phases (mid-pass at the next chunk claim) and returns
 // ctx.Err(). ctx may be nil.

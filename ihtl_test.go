@@ -149,66 +149,6 @@ func TestPublicAPIParallelBuildParity(t *testing.T) {
 	}
 }
 
-// TestPublicAPIBlockEncoding drives the compressed-topology surface
-// end to end through the public aliases: parse the flag value, run a
-// varint engine against the flat default, and reopen the graph from a
-// v2 engine file where auto resolves to varint.
-func TestPublicAPIBlockEncoding(t *testing.T) {
-	enc, err := ihtl.ParseBlockEncoding("varint")
-	if err != nil || enc != ihtl.EncodingVarint {
-		t.Fatalf("ParseBlockEncoding = %v, %v", enc, err)
-	}
-	if _, err := ihtl.ParseBlockEncoding("huffman"); err == nil {
-		t.Fatal("ParseBlockEncoding accepted an unknown encoding")
-	}
-
-	g, err := ihtl.GenerateRMAT(9, 8, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := ihtl.NewPool(3)
-	defer pool.Close()
-
-	p := ihtl.Params{HubsPerBlock: 64}
-	flat, err := ihtl.NewEngine(g, pool, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	varint, err := ihtl.NewEngineOpts(nil, g, pool, p, ihtl.EngineOptions{BlockEncoding: enc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Integer-valued input: addition is exact, so the two encodings
-	// must agree bit for bit regardless of merge scheduling.
-	n := flat.NumVertices()
-	src := make([]float64, n)
-	for v := range src {
-		src[v] = float64(v%17 - 8)
-	}
-	want := make([]float64, n)
-	got := make([]float64, n)
-	flat.Step(src, want)
-	varint.Step(src, got)
-	for v := range want {
-		if want[v] != got[v] {
-			t.Fatalf("varint Step differs at %d: %g vs %g", v, got[v], want[v])
-		}
-	}
-
-	path := filepath.Join(t.TempDir(), "g.ihtl2")
-	if err := flat.IHTL().SaveFileV2(path); err != nil {
-		t.Fatal(err)
-	}
-	ef, err := ihtl.OpenEngineFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ef.Close()
-	if !ef.IHTL().EncodedOnly() {
-		t.Fatal("v2 engine file should open encoded-only")
-	}
-}
-
 func requireSameGraph(t *testing.T, label string, want, got *ihtl.Graph) {
 	t.Helper()
 	if got.NumV != want.NumV || got.NumE != want.NumE {

@@ -104,19 +104,6 @@ func BatchSweepRegistry() []*Dataset {
 	}
 }
 
-// EncRegistry returns the datasets of the block-encoding ablation
-// (ihtlbench -encjson): the scale-14 R-MAT the CI schema gate asserts
-// on, and the full-size SK-Domain web analog the compression-ratio
-// acceptance figure (flat/varint bytes_per_edge >= 1.5x) is recorded
-// on — web in-hub adjacency is dense and local after relabeling, so
-// it is where the gap encoding pays most.
-func EncRegistry() []*Dataset {
-	return []*Dataset{
-		rmatDS("rmat14", "R-MAT scale 14 (encoding ablation)", 14, 16, 114),
-		webDS("sk", "SK-Domain (50M/2B)", 50_000, 40, 105),
-	}
-}
-
 // ByName finds a dataset in the given registry.
 func ByName(reg []*Dataset, name string) (*Dataset, error) {
 	for _, d := range reg {

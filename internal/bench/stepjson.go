@@ -43,13 +43,8 @@ type StepResult struct {
 	// passes per pass. It is a demand model, not a measurement.
 	BytesPerEdge float64 `json:"bytes_per_edge,omitempty"`
 
-	// Encoding is the block-topology encoding the measured engine
-	// resolved to ("flat" for every baseline kernel; iHTL kernels
-	// report their core.BlockEncoding).
-	Encoding string `json:"encoding,omitempty"`
 	// ResidentBytes is the topology footprint the engine keeps
-	// addressable in memory (ResidentTopologyBytes), the column the
-	// encoding ablation compares across flat and varint.
+	// addressable in memory (ResidentTopologyBytes).
 	ResidentBytes int64 `json:"resident_bytes,omitempty"`
 
 	// SparseNs is an iHTL record's per-step sparse busy time.
@@ -112,12 +107,10 @@ func RunStepJSON(env *Env, datasets []*Dataset) (*StepReport, error) {
 			if fp, ok := e.(interface{ BytesPerStep() int64 }); ok {
 				res.BytesPerEdge = float64(fp.BytesPerStep()) / float64(g.NumE)
 			}
-			res.Encoding = "flat"
 			if rb, ok := e.(interface{ ResidentTopologyBytes() int64 }); ok {
 				res.ResidentBytes = rb.ResidentTopologyBytes()
 			}
 			if ce, ok := e.(*core.Engine); ok {
-				res.Encoding = ce.Encoding().String()
 				if b := ce.TakeBreakdown(); b.Steps > 0 {
 					res.SparseNs = b.SparseBusy.Nanoseconds() / int64(b.Steps)
 				}

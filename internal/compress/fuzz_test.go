@@ -69,44 +69,3 @@ func FuzzDecodeIndex(f *testing.F) {
 		}
 	})
 }
-
-// FuzzChunkedFromAdjacency checks that any adjacency the checked
-// decoder accepts also survives the chunked encode -> Validate ->
-// unchecked-decode path bit-for-bit, at several chunk targets.
-func FuzzChunkedFromAdjacency(f *testing.F) {
-	f.Add(EncodeAdjacency([]int64{0, 2, 2, 5}, []uint32{0, 7, 1, 2, 9}), 3, int64(5), 2)
-	f.Fuzz(func(t *testing.T, data []byte, numV int, numE int64, target int) {
-		if numV > 1<<16 || numE > 1<<18 || target > 1<<16 {
-			return
-		}
-		index, nbrs, err := DecodeAdjacency(data, numV, numE)
-		if err != nil {
-			return
-		}
-		ck := EncodeChunked(index, nbrs, target)
-		maxDst := uint32(1)
-		for _, d := range nbrs {
-			if d >= maxDst {
-				maxDst = d + 1
-			}
-		}
-		if err := ck.Validate(maxDst); err != nil {
-			t.Fatalf("self-encoded chunked failed Validate: %v", err)
-		}
-		sIdx := make([]int32, ck.MaxSrcs+1)
-		dsts := make([]uint32, ck.MaxEdges)
-		pos := 0
-		for c := 0; c < ck.Chunks(); c++ {
-			_, ne := ck.DecodeChunkCSR(c, sIdx, dsts)
-			for i := 0; i < ne; i++ {
-				if dsts[i] != nbrs[pos] {
-					t.Fatalf("chunk %d edge %d = %d, want %d", c, i, dsts[i], nbrs[pos])
-				}
-				pos++
-			}
-		}
-		if pos != len(nbrs) {
-			t.Fatalf("chunked decode covered %d edges, want %d", pos, len(nbrs))
-		}
-	})
-}

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"ihtl/internal/compress"
 	"ihtl/internal/faultinject"
 	"ihtl/internal/graph"
 	"ihtl/internal/sched"
@@ -29,22 +28,15 @@ type FlippedBlock struct {
 	// Dsts are hub destinations in new IDs (all in [HubLo, HubHi)),
 	// sorted ascending within each source's run: the push kernels
 	// accumulate per destination, so within-row order changes no
-	// result bit, and sorted runs make the varint gap encoding
-	// effective. Nil when only the varint form is resident (a v2
-	// engine file loaded without materialising flat topology); Index
-	// is always resident.
+	// result bit. A graph opened from an engine file aliases Index and
+	// Dsts into the mapping.
 	Dsts []graph.VID
 	// Sources is |FVᵢ|: the number of sources with at least one edge
 	// into this block (the §3.3 block-admission statistic).
 	Sources int
-	// Enc is the chunked varint-gap encoding of Dsts, built lazily by
-	// EnsureEncoded or loaded from a v2 engine file. Engines with
-	// BlockEncoding varint traverse it instead of Dsts.
-	Enc *compress.Chunked
 }
 
-// NumEdges returns the edge count of the block. Index-based, so it is
-// exact whether the flat or only the encoded adjacency is resident.
+// NumEdges returns the edge count of the block.
 func (b *FlippedBlock) NumEdges() int64 {
 	if n := len(b.Index); n > 1 {
 		return b.Index[n-1]
@@ -59,12 +51,8 @@ type SparseBlock struct {
 	DestLo int
 	// Index has NumV-DestLo+1 offsets into Srcs.
 	Index []int64
-	// Srcs are source new IDs grouped by destination, sorted. Nil when
-	// only the varint form is resident; Index is always resident.
+	// Srcs are source new IDs grouped by destination, sorted.
 	Srcs []graph.VID
-	// Enc is the chunked varint-gap encoding of Srcs; see
-	// FlippedBlock.Enc.
-	Enc *compress.Chunked
 
 	// HeavyDeg and Heavy are the degree buckets of the degree-aware
 	// sparse schedule (SparsePullDegree): rows (destinations, relative
@@ -121,8 +109,7 @@ func (s *SparseBlock) EnsureDegreeBuckets() {
 	}
 }
 
-// NumEdges returns the edge count of the sparse block. Index-based,
-// like FlippedBlock.NumEdges.
+// NumEdges returns the edge count of the sparse block.
 func (s *SparseBlock) NumEdges() int64 {
 	if n := len(s.Index); n > 1 {
 		return s.Index[n-1]
@@ -155,13 +142,12 @@ type IHTL struct {
 	params     Params
 	buildStats BuildBreakdown
 
-	// lazyMu serialises the lazy, idempotent derivations over the
-	// graph's resident forms — EnsureEncoded, EnsureFlatTopology,
-	// DropFlatTopology and (*IHTL).EnsureDegreeBuckets — so several
-	// engines may be constructed over one IHTL from concurrent
-	// goroutines. The derived fields are immutable once present;
-	// readers are ordered after their own constructor's locked Ensure
-	// call, so the hot paths stay lock-free.
+	// lazyMu serialises the lazy, idempotent derivation of the
+	// degree buckets ((*IHTL).EnsureDegreeBuckets), so several engines
+	// may be constructed over one IHTL from concurrent goroutines. The
+	// derived fields are immutable once present; readers are ordered
+	// after their own constructor's locked Ensure call, so the hot
+	// paths stay lock-free.
 	lazyMu sync.Mutex
 }
 
@@ -315,6 +301,11 @@ func BuildWithCtx(ctx context.Context, g *graph.Graph, p Params, pool *sched.Poo
 
 	if got := ih.FlippedEdges() + ih.Sparse.NumEdges(); got != g.NumE {
 		return nil, fmt.Errorf("core: internal error: blocks cover %d edges, want %d", got, g.NumE)
+	}
+	if checkedBuild {
+		if err := checkEdgePartition(g, ih); err != nil {
+			return nil, err
+		}
 	}
 	for i := range clk {
 		ih.buildStats.RankBusy += clk[i].rank
@@ -950,8 +941,8 @@ func fillFlippedRange(g *graph.Graph, ih *IHTL, cursors [][]int64, b, lo, hi int
 // [lo, hi) ascending, in every block. Each run has one owner, so the
 // parallel pass produces the sequential pass's exact blocks. The out-
 // edge scan fills runs in NewID-scrambled order; sorting restores the
-// locality the gap encoding (and the hub-buffer access pattern)
-// benefits from, and cannot change results: every destination
+// locality the hub-buffer access pattern benefits from, and cannot
+// change results: every destination
 // accumulates the same multiset of contributions in the same
 // per-accumulator order.
 func sortFlippedRows(ih *IHTL, lo, hi int) {

@@ -38,17 +38,6 @@ type Engine struct {
 	pool          *sched.Pool
 	atomicFlipped bool
 
-	// encoding is the resolved block encoding; varint mirrors
-	// encoding == EncodingVarint for branch-cheap hot-path checks.
-	// Under varint the flipped tasks are encoded chunks decoded into
-	// encScratch[w] inside the dispatch loop, and the sparse pull
-	// decodes rows at sparseRowOff[i] straight into their sums; see
-	// encoding.go.
-	encoding     BlockEncoding
-	varint       bool
-	encScratch   []encScratch
-	sparseRowOff []int64
-
 	// bufs[w] is worker w's private accumulation buffer over all
 	// hubs — "each thread buffers B * #fb vertex data" (§3.4). With
 	// B sized to L2/8, one buffer per flipped block fits L2.
@@ -131,10 +120,6 @@ type Engine struct {
 type blockTask struct {
 	block  int
 	lo, hi int // source range
-	// chunk is the encoded-chunk ordinal of the task under the varint
-	// encoding (the source range then equals the chunk's row range);
-	// unused under flat.
-	chunk int
 	// dLo, dHi bound the hub IDs this task's edges can write
 	// (precomputed at build). Tracking the dirty range per task
 	// instead of per edge keeps the push inner loop free of range
@@ -278,12 +263,6 @@ type EngineOptions struct {
 	// bit-for-bit identical results; they differ in scheduling. See
 	// sparse.go.
 	SparseKernel SparseKernel
-	// BlockEncoding selects the adjacency representation the engine
-	// traverses: EncodingAuto (varint when only the encoded topology
-	// is resident, flat otherwise), EncodingFlat or EncodingVarint.
-	// Steps are bit-for-bit identical under either encoding.
-	// See encoding.go.
-	BlockEncoding BlockEncoding
 }
 
 // NewEngine prepares an Algorithm 3 engine on the given pool with
@@ -308,16 +287,9 @@ func NewEngineOpts(ih *IHTL, pool *sched.Pool, opt EngineOptions) (*Engine, erro
 			e.bufs[i] = make([]float64, ih.NumHubs)
 		}
 	}
-	e.initEncoding(opt.BlockEncoding)
-	if e.varint {
-		// One task per encoded chunk: the chunk's decode scratch is
-		// the cache-resident working set, so it is the task granule.
-		e.blockTasks, e.tasksPerBlock, e.emptyBlocks = buildBlockTasksEnc(ih)
-	} else {
-		// Edge-balanced source chunks per flipped block: the per-block
-		// CSR index arrays give exact per-source edge counts.
-		e.blockTasks, e.tasksPerBlock, e.emptyBlocks = buildBlockTasks(ih, w*4)
-	}
+	// Edge-balanced source chunks per flipped block: the per-block CSR
+	// index arrays give exact per-source edge counts.
+	e.blockTasks, e.tasksPerBlock, e.emptyBlocks = buildBlockTasks(ih, w*4)
 	if n := ih.NumV - ih.Sparse.DestLo; n > 0 {
 		e.sparseBounds = sched.EdgeBalancedParts(ih.Sparse.Index, w*4)
 	}
@@ -606,12 +578,7 @@ func (e *Engine) fusedWorkerBuffered(w int) {
 	for ti, end := e.flipBounds[w], e.flipBounds[w+1]; ti < end && !e.pool.Aborted(); ti++ {
 		faultinject.Fire(faultinject.SiteFlippedTask)
 		bt := &e.blockTasks[ti]
-		fb := &ih.Blocks[bt.block]
-		if e.varint {
-			e.pushTaskEnc(w, bt, fb, src, buf)
-		} else {
-			pushTaskFlat(bt, fb, src, buf)
-		}
+		pushTaskFlat(bt, &ih.Blocks[bt.block], src, buf)
 		if bt.dHi > bt.dLo {
 			dr := &e.dirty[w*nb+bt.block]
 			if dr.hi <= dr.lo {
@@ -711,12 +678,7 @@ func (e *Engine) fusedWorkerAtomic(w int) {
 	for ti, end := e.flipBounds[w], e.flipBounds[w+1]; ti < end && !e.pool.Aborted(); ti++ {
 		faultinject.Fire(faultinject.SiteFlippedTask)
 		bt := &e.blockTasks[ti]
-		fb := &ih.Blocks[bt.block]
-		if e.varint {
-			e.pushTaskEncAtomic(w, bt, fb, src, dst)
-			continue
-		}
-		pushTaskFlatAtomic(bt, fb, src, dst)
+		pushTaskFlatAtomic(bt, &ih.Blocks[bt.block], src, dst)
 	}
 	t2 := time.Now()
 	clk.flipped += t2.Sub(t1)

@@ -183,12 +183,7 @@ func (e *Engine) fusedWorkerBufferedBatch(b *batchState, w int) {
 	for ti, end := e.flipBounds[w], e.flipBounds[w+1]; ti < end && !e.pool.Aborted(); ti++ {
 		faultinject.Fire(faultinject.SiteFlippedTask)
 		bt := &e.blockTasks[ti]
-		fb := &ih.Blocks[bt.block]
-		if e.varint {
-			e.pushTaskEncBatch(w, k, bt, fb, src, buf)
-		} else {
-			pushTaskFlatBatch(k, bt, fb, src, buf)
-		}
+		pushTaskFlatBatch(k, bt, &ih.Blocks[bt.block], src, buf)
 		if bt.dHi > bt.dLo {
 			dr := &b.dirty[w*nb+bt.block]
 			if dr.hi <= dr.lo {

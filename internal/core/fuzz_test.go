@@ -42,16 +42,18 @@ func FuzzReadIHTL(f *testing.F) {
 	})
 }
 
-// FuzzParseV2 guards the v2 engine-file parser, the path OpenEngineFile
-// maps untrusted bytes through. Input is copied into an 8-byte-aligned
-// buffer, as readV2Resident does, so the parser's zero-copy aliasing
-// runs as it does on a mapping. Arbitrary bytes must either be
-// rejected or yield a graph the engine kernels can step: they index
-// through unchecked accessors, so an accepted graph that breaks a
+// FuzzParseV2 guards the mapped engine-file parser, the path
+// OpenEngineFile maps untrusted bytes through. Input is copied into an
+// 8-byte-aligned buffer, as readV4Resident does, so the parser's
+// zero-copy aliasing runs as it does on a mapping. Arbitrary bytes must
+// either be rejected or yield a graph the engine kernels can step: they
+// index through unchecked accessors, so an accepted graph that breaks a
 // structural invariant would read or write out of bounds. Every
 // accepted graph is therefore checked against those invariants and
-// stepped under both block encodings, bit-for-bit against a reference
-// sum over its own decoded edges.
+// stepped by the buffered and the atomic flipped pipeline, bit-for-bit
+// against a reference sum over its own edges. The seeds are the
+// version-4 files of v2FuzzGraphs plus the headers of the two retired
+// versions.
 func FuzzParseV2(f *testing.F) {
 	for _, ih := range v2FuzzGraphs(f) {
 		var buf bytes.Buffer
@@ -62,6 +64,7 @@ func FuzzParseV2(f *testing.F) {
 	}
 	f.Add(v3Header())
 	f.Add([]byte{})
+	f.Add(retiredHeader(ihtlVersionVarint))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ih, err := parseV2(alignedCopy(data))
@@ -73,10 +76,9 @@ func FuzzParseV2(f *testing.F) {
 }
 
 // v2FuzzGraphs returns the seed graphs of FuzzParseV2: the paper's
-// example with its flat topology resident, and a small web graph that
-// holds only its varint encoding.
+// example and a 300-page web graph.
 func v2FuzzGraphs(tb testing.TB) []*IHTL {
-	flat, err := Build(graph.PaperExample(), Params{HubsPerBlock: 2})
+	paper, err := Build(graph.PaperExample(), Params{HubsPerBlock: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -84,26 +86,28 @@ func v2FuzzGraphs(tb testing.TB) []*IHTL {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	enc, err := Build(g, Params{HubsPerBlock: 8})
+	web, err := Build(g, Params{HubsPerBlock: 8})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	enc.EnsureEncoded()
-	enc.DropFlatTopology()
-	return []*IHTL{flat, enc}
+	return []*IHTL{paper, web}
 }
 
 // v3Header is the start of a version-3 (sharded container) file, a
-// format this package no longer reads: magic, version 3, then bytes
-// that would have been the shard plan.
-func v3Header() []byte {
+// format this package no longer reads.
+func v3Header() []byte { return retiredHeader(3) }
+
+// retiredHeader is the start of a file in a version this package no
+// longer reads: magic, the version, then filler bytes where that
+// version's sections would begin.
+func retiredHeader(version uint32) []byte {
 	b := binary.LittleEndian.AppendUint64(nil, ihtlMagic)
-	b = binary.LittleEndian.AppendUint32(b, 3)
+	b = binary.LittleEndian.AppendUint32(b, version)
 	return append(b, bytes.Repeat([]byte{0x5A}, 116)...)
 }
 
 // alignedCopy copies data into a buffer backed by []int64, the way
-// readV2Resident and readFileAligned back a v2 range.
+// readV4Resident and readFileAligned back a mapped-file range.
 func alignedCopy(data []byte) []byte {
 	if len(data) == 0 {
 		return nil
@@ -140,7 +144,6 @@ func checkEngineInvariants(t *testing.T, ih *IHTL) {
 			}
 		}
 	}
-	ih.EnsureFlatTopology()
 	hub := 0
 	var edges int64
 	for b := range ih.Blocks {
@@ -180,9 +183,8 @@ func checkEngineInvariants(t *testing.T, ih *IHTL) {
 		t.Fatalf("blocks hold %d edges, NumE is %d", edges, ih.NumE)
 	}
 
-	// Distinct integer sources make every sum exact, so the flat and
-	// varint kernels must both reproduce the reference bit for bit; a
-	// row whose Index disagrees with its encoded stream would not.
+	// Distinct integer sources make every sum exact, so both flipped
+	// pipelines must reproduce the reference bit for bit.
 	src := make([]float64, n)
 	for v := range src {
 		src[v] = float64(v + 1)
@@ -201,16 +203,16 @@ func checkEngineInvariants(t *testing.T, ih *IHTL) {
 			want[sp.DestLo+i] += src[s]
 		}
 	}
-	for _, enc := range []BlockEncoding{EncodingFlat, EncodingVarint} {
-		e, err := NewEngineOpts(ih, testPool, EngineOptions{BlockEncoding: enc})
+	for _, opt := range []EngineOptions{{}, {AtomicFlipped: true, SparseKernel: SparsePull}} {
+		e, err := NewEngineOpts(ih, testPool, opt)
 		if err != nil {
-			t.Fatalf("%v engine over an accepted graph: %v", enc, err)
+			t.Fatalf("%+v engine over an accepted graph: %v", opt, err)
 		}
 		got := make([]float64, n)
 		e.Step(src, got)
 		for v := range want {
 			if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
-				t.Fatalf("%v engine: vertex %d = %v, reference %v", enc, v, got[v], want[v])
+				t.Fatalf("%+v engine: vertex %d = %v, reference %v", opt, v, got[v], want[v])
 			}
 		}
 	}

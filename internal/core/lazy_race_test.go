@@ -10,27 +10,27 @@ import (
 )
 
 // TestConcurrentEngineConstruction builds many engines over ONE shared
-// IHTL from concurrent goroutines, mixing the options whose
-// constructors run the lazy graph derivations — EnsureEncoded
-// (BlockEncoding varint), EnsureFlatTopology (flat over an
-// encoded-only graph is not exercised here; DropFlatTopology is
-// destructive and documented single-threaded) and
-// IHTL.EnsureDegreeBuckets (SparsePullDegree) — and then steps each.
-// Under -race this pins the lazyMu guard: before it, two goroutines
-// could both observe a nil Enc/HeavyDeg and race the derivation.
+// IHTL opened from a mapped engine file — which does not store the
+// degree buckets — from concurrent goroutines, mixing the options
+// whose constructors run the lazy IHTL.EnsureDegreeBuckets derivation
+// (SparsePullDegree, the default) with ones that do not, and then
+// steps each. Under -race this pins the lazyMu guard: without it, two
+// goroutines could both observe a zero HeavyDeg and race the
+// derivation.
 func TestConcurrentEngineConstruction(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(10, 8, 21))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ih, err := Build(g, Params{HubsPerBlock: 64})
+	built, err := Build(g, Params{HubsPerBlock: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ih := openMapped(t, built)
 	opts := []EngineOptions{
-		{BlockEncoding: EncodingVarint},
+		{SparseKernel: SparsePull},
 		{SparseKernel: SparsePullDegree},
-		{BlockEncoding: EncodingVarint, SparseKernel: SparsePullDegree},
+		{AtomicFlipped: true, SparseKernel: SparsePullDegree},
 		{},
 	}
 	src := integerVec(6, g.NumV)

@@ -9,9 +9,9 @@ import (
 )
 
 // TestOutDegreesMatchesGraph pins OutDegrees against the original
-// graph's out-degrees through the relabeling, for the flat topology,
-// the encoded-only (varint) form, and a graph round-tripped through a
-// v2 engine file (the serving daemon's load path).
+// graph's out-degrees through the relabeling, for the built graph and
+// a graph round-tripped through a mapped engine file (the serving
+// daemon's load path).
 func TestOutDegreesMatchesGraph(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 7))
 	if err != nil {
@@ -36,15 +36,6 @@ func TestOutDegreesMatchesGraph(t *testing.T) {
 	}
 
 	t.Run("flat", func(t *testing.T) { check(t, ih.OutDegrees()) })
-
-	t.Run("varint-only", func(t *testing.T) {
-		ih.EnsureEncoded()
-		ih.DropFlatTopology()
-		if !ih.EncodedOnly() {
-			t.Fatal("DropFlatTopology left flat topology resident")
-		}
-		check(t, ih.OutDegrees())
-	})
 
 	t.Run("v2-engine-file", func(t *testing.T) {
 		path := filepath.Join(t.TempDir(), "g.ihtl2")

@@ -27,14 +27,9 @@ func phasedStep(e *Engine, src, dst []float64) {
 		for ti := e.flipBounds[w]; ti < e.flipBounds[w+1]; ti++ {
 			bt := &e.blockTasks[ti]
 			fb := &ih.Blocks[bt.block]
-			switch {
-			case e.atomicFlipped && e.varint:
-				e.pushTaskEncAtomic(w, bt, fb, src, dst)
-			case e.atomicFlipped:
+			if e.atomicFlipped {
 				pushTaskFlatAtomic(bt, fb, src, dst)
-			case e.varint:
-				e.pushTaskEnc(w, bt, fb, src, e.bufs[w])
-			default:
+			} else {
 				pushTaskFlat(bt, fb, src, e.bufs[w])
 			}
 			if e.atomicFlipped || bt.dHi <= bt.dLo {

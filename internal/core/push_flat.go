@@ -5,15 +5,14 @@ import (
 	"ihtl/internal/unchecked"
 )
 
-// The flat (uncompressed) flipped-push kernels: one task's worth of
-// src[s] -> hub scatter, called by every worker body so the inner loop
-// exists exactly once per shape.
-// These are the Algorithm 3 lines 1-4 inner loops; together with
-// their varint twins in encoding.go they are //ihtl:nobce — the
-// ihtlvet -bce gate pins them free of per-edge bounds checks, which
-// is why every access goes through the spmv unchecked accessors
-// (indices are graph data no BCE analysis can prove in range; see
-// spmv/unchecked.go for the safety argument).
+// The flipped-push kernels: one task's worth of src[s] -> hub
+// scatter, called by every worker body so the inner loop exists
+// exactly once per shape. Resident and mapped graphs both run them.
+// These are the Algorithm 3 lines 1-4 inner loops; they are
+// //ihtl:nobce — the ihtlvet -bce gate pins them free of per-edge
+// bounds checks, which is why every access goes through the unchecked
+// accessors (indices are graph data no BCE analysis can prove in
+// range; see internal/unchecked for the safety argument).
 
 // pushTaskFlat pushes flat task bt of block fb into a worker-owned
 // hub buffer.

@@ -95,11 +95,11 @@ func ReadIHTL(r io.Reader) (*IHTL, error) {
 	if err := get(&version); err != nil {
 		return nil, err
 	}
-	if version == ihtlVersion2 {
-		return readV2Resident(br)
+	if version == ihtlVersion4 {
+		return readV4Resident(br)
 	}
 	if version != ihtlVersion {
-		return nil, fmt.Errorf("core: unsupported version %d", version)
+		return nil, unsupportedVersion(version)
 	}
 	var numV, numHubs, numVWEH, numFV, hubsPerBlock, minHubDeg, numBlocks uint32
 	var numE uint64
@@ -155,10 +155,8 @@ func ReadIHTL(r io.Reader) (*IHTL, error) {
 		if fb.HubLo > fb.HubHi || fb.HubHi > ih.NumHubs {
 			return nil, fmt.Errorf("core: block %d hub range [%d,%d) invalid", i, fb.HubLo, fb.HubHi)
 		}
-		for _, d := range fb.Dsts {
-			if int(d) < fb.HubLo || int(d) >= fb.HubHi {
-				return nil, fmt.Errorf("core: block %d destination %d out of range", i, d)
-			}
+		if j := firstOutside(fb.Dsts, hubLo, hubHi); j >= 0 {
+			return nil, fmt.Errorf("core: block %d destination %d out of range", i, fb.Dsts[j])
 		}
 		total += fb.NumEdges()
 	}
@@ -179,10 +177,8 @@ func ReadIHTL(r io.Reader) (*IHTL, error) {
 	if ih.Sparse.Srcs, err = graph.ReadChunked[graph.VID](br, lenSrcs); err != nil {
 		return nil, err
 	}
-	for _, s := range ih.Sparse.Srcs {
-		if int(s) >= ih.NumV {
-			return nil, fmt.Errorf("core: sparse source %d out of range", s)
-		}
+	if j := firstOutside(ih.Sparse.Srcs, 0, numV); j >= 0 {
+		return nil, fmt.Errorf("core: sparse source %d out of range", ih.Sparse.Srcs[j])
 	}
 	total += ih.Sparse.NumEdges()
 	if total != ih.NumE {
@@ -199,8 +195,8 @@ func ReadIHTL(r io.Reader) (*IHTL, error) {
 // read from a file, beyond the per-section checks of each reader: the
 // flipped blocks tile the hub range [0, NumHubs) in order, the sparse
 // block covers every destination from NumHubs on, every Index starts
-// at 0, never decreases and has one offset per row plus one, and any
-// resident flat adjacency holds exactly the edges its Index counts.
+// at 0, never decreases and has one offset per row plus one, and every
+// adjacency holds exactly the edges its Index counts.
 // The kernels index through unchecked accessors, so a graph breaking
 // one of these would read or write out of bounds instead of failing.
 func (ih *IHTL) checkShape() error {
@@ -228,8 +224,8 @@ func (ih *IHTL) checkShape() error {
 	return nil
 }
 
-// checkIndex verifies one CSR offset array over rows rows and, when
-// the flat adjacency adj is resident, its length.
+// checkIndex verifies one CSR offset array over rows rows and the
+// length of its adjacency adj.
 func checkIndex(idx []int64, rows int, adj []graph.VID) error {
 	if len(idx) != rows+1 || idx[0] != 0 {
 		return fmt.Errorf("index has %d offsets for %d rows", len(idx), rows)
@@ -239,10 +235,23 @@ func checkIndex(idx []int64, rows int, adj []graph.VID) error {
 			return fmt.Errorf("index decreases at row %d", i-1)
 		}
 	}
-	if adj != nil && int64(len(adj)) != idx[rows] {
+	if int64(len(adj)) != idx[rows] {
 		return fmt.Errorf("%d neighbours for %d indexed edges", len(adj), idx[rows])
 	}
 	return nil
+}
+
+// firstOutside returns the position of the first element of a outside
+// [lo, hi), or -1 when every element is inside: the range check both
+// file readers run over each adjacency section before the unchecked
+// kernels may index with it.
+func firstOutside(a []graph.VID, lo, hi uint32) int {
+	for j, v := range a {
+		if v < lo || v >= hi {
+			return j
+		}
+	}
+	return -1
 }
 
 // SaveFile writes ih to path, atomically replacing any existing file.

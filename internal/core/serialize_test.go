@@ -145,7 +145,6 @@ func TestReadersRejectBadShape(t *testing.T) {
 		if len(ih.Blocks) < 2 || len(ih.Blocks[0].Index) < 3 {
 			t.Fatal("fixture needs two blocks of at least two rows")
 		}
-		ih.EnsureEncoded()
 		tc.mut(ih)
 		var v1, v2 bytes.Buffer
 		if _, err := ih.WriteTo(&v1); err != nil {

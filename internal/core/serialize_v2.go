@@ -1,38 +1,33 @@
 package core
 
-// Version-2 engine-file format: the compressed blocks of encoding.go
-// stored in section-aligned segments so a serialised engine can be
-// mapped straight into the address space and paged in lazily.
+// Mapped engine-file format: the flat blocks stored in section-aligned
+// segments so a serialised engine can be mapped straight into the
+// address space, paged in lazily and stepped in place by the same
+// kernels as a resident graph. SaveFileV2 writes it; the header carries
+// version 4. Version 2 was a chunked-varint layout whose engines
+// decoded inside the step and is no longer read; version 3 was the
+// retired sharded container.
 //
 // Layout (all integers little-endian, every section start padded to a
 // 64-byte boundary):
 //
-//	header   magic u64, version u32 = 2, numV u32, numE u64,
+//	header   magic u64, version u32 = 4, numV u32, numE u64,
 //	         numHubs u32, numVWEH u32, numFV u32, hubsPerBlock u32,
 //	         minHubDeg u32, numBlocks u32, destLo u32, pad → 64 B
 //	newid    [numV]u32 raw
 //	oldid    [numV]u32 raw
 //	per flipped block:
-//	  meta     hubLo u32, hubHi u32, sources u32, pad u32, lenIdx u64
+//	  meta     hubLo u32, hubHi u32, sources u32, pad u32,
+//	           lenIdx u64, lenDsts u64
 //	  index    [lenIdx]i64 raw
-//	  chunked  adjacency (below)
+//	  dsts     [lenDsts]u32 raw
 //	sparse:
-//	  meta     lenIdx u64
+//	  meta     lenIdx u64, lenSrcs u64
 //	  index    [lenIdx]i64 raw
-//	  chunked  adjacency (below)
+//	  srcs     [lenSrcs]u32 raw
 //
-// A chunked adjacency segment is the on-disk form of compress.Chunked:
-//
-//	meta     numSrc u64, numEdges u64, maxSrcs u64, maxEdges u64,
-//	         nOff u64, lenData u64
-//	srcoff   [nOff]i32 raw
-//	byteoff  [nOff]i64 raw
-//	data     [lenData]u8 — the varint gap streams
-//
-// Only the Index arrays and the chunked segments are stored: the flat
-// Dsts/Srcs adjacency is redundant (EnsureFlatTopology re-materialises
-// it on demand), and the degree buckets are derived (EnsureDegreeBuckets
-// reads only Index). On little-endian hosts every raw array section is
+// The degree buckets are derived (EnsureDegreeBuckets reads only
+// Index) and not stored. On little-endian hosts every raw section is
 // aliased in place — opening a file allocates O(blocks) metadata, not
 // O(edges); on big-endian or misaligned mappings the sections are
 // copied element-wise, which keeps the format portable at the cost of
@@ -47,25 +42,30 @@ import (
 	"unsafe"
 
 	"ihtl/internal/atomicio"
-	"ihtl/internal/compress"
 )
 
-const ihtlVersion2 = uint32(2)
+// ihtlVersion4 is the mapped engine-file version SaveFileV2 writes.
+// ihtlVersionVarint is the retired chunked-varint layout, rejected
+// with a hint to rebuild the file.
+const (
+	ihtlVersion4      = uint32(4)
+	ihtlVersionVarint = uint32(2)
+)
 
 // hostLittle reports whether this host is little-endian; when true the
-// raw sections of a v2 file alias directly into the mapping.
+// raw sections of a mapped engine file alias directly into the mapping.
 var hostLittle = func() bool {
 	var x uint16 = 1
 	return *(*byte)(unsafe.Pointer(&x)) == 1
 }()
 
-// WriteToV2 serialises ih in the version-2 chunked-varint format,
-// building the encoded form first if only the flat one is resident.
+// WriteToV2 serialises ih in the mapped engine-file format, header
+// version 4 (the name predates the version bump): flat, 64-byte-aligned
+// index and adjacency sections that OpenEngineFile aliases in place.
 func (ih *IHTL) WriteToV2(w io.Writer) (int64, error) {
-	ih.EnsureEncoded()
 	vw := &v2writer{w: bufio.NewWriterSize(w, 1<<20)}
 	vw.u64(ihtlMagic)
-	vw.u32(ihtlVersion2)
+	vw.u32(ihtlVersion4)
 	vw.u32(uint32(ih.NumV))
 	vw.u64(uint64(ih.NumE))
 	vw.u32(uint32(ih.NumHubs))
@@ -87,24 +87,28 @@ func (ih *IHTL) WriteToV2(w io.Writer) (int64, error) {
 		vw.u32(uint32(fb.Sources))
 		vw.u32(0)
 		vw.u64(uint64(len(fb.Index)))
+		vw.u64(uint64(len(fb.Dsts)))
 		vw.pad64()
 		vw.rawI64(fb.Index)
 		vw.pad64()
-		vw.chunked(fb.Enc)
+		vw.rawU32(fb.Dsts)
+		vw.pad64()
 	}
 	vw.u64(uint64(len(ih.Sparse.Index)))
+	vw.u64(uint64(len(ih.Sparse.Srcs)))
 	vw.pad64()
 	vw.rawI64(ih.Sparse.Index)
 	vw.pad64()
-	vw.chunked(ih.Sparse.Enc)
+	vw.rawU32(ih.Sparse.Srcs)
+	vw.pad64()
 	if vw.err == nil {
 		vw.err = vw.w.Flush()
 	}
 	return vw.n, vw.err
 }
 
-// SaveFileV2 writes ih to path in the version-2 format, atomically
-// replacing any existing file.
+// SaveFileV2 writes ih to path in the mapped engine-file format
+// (header version 4), atomically replacing any existing file.
 func (ih *IHTL) SaveFileV2(path string) error {
 	return atomicio.WriteFile(path, func(w io.Writer) error {
 		_, err := ih.WriteToV2(w)
@@ -163,21 +167,6 @@ func (vw *v2writer) rawU32(a []uint32) {
 	}
 }
 
-func (vw *v2writer) rawI32(a []int32) {
-	var chunk [1 << 14]byte
-	for len(a) > 0 && vw.err == nil {
-		n := len(chunk) / 4
-		if n > len(a) {
-			n = len(a)
-		}
-		for i := 0; i < n; i++ {
-			binary.LittleEndian.PutUint32(chunk[i*4:], uint32(a[i]))
-		}
-		vw.write(chunk[: n*4 : n*4])
-		a = a[n:]
-	}
-}
-
 func (vw *v2writer) rawI64(a []int64) {
 	var chunk [1 << 14]byte
 	for len(a) > 0 && vw.err == nil {
@@ -193,35 +182,10 @@ func (vw *v2writer) rawI64(a []int64) {
 	}
 }
 
-// chunked writes one chunked adjacency segment; a nil Chunked (empty
-// sparse block) becomes an all-zero meta with no array bytes.
-func (vw *v2writer) chunked(ck *compress.Chunked) {
-	if ck == nil {
-		for i := 0; i < 6; i++ {
-			vw.u64(0)
-		}
-		vw.pad64()
-		return
-	}
-	vw.u64(uint64(ck.NumSrc))
-	vw.u64(uint64(ck.NumEdges))
-	vw.u64(uint64(ck.MaxSrcs))
-	vw.u64(uint64(ck.MaxEdges))
-	vw.u64(uint64(len(ck.SrcOff)))
-	vw.u64(uint64(len(ck.Data)))
-	vw.pad64()
-	vw.rawI32(ck.SrcOff)
-	vw.pad64()
-	vw.rawI64(ck.ByteOff)
-	vw.pad64()
-	vw.write(ck.Data)
-	vw.pad64()
-}
-
-// EngineFile is an engine graph opened from disk. Version-2 files stay
+// EngineFile is an engine graph opened from disk. Version-4 files stay
 // backed by their (typically memory-mapped) byte range: the IHTL's
-// Index arrays and chunked adjacency alias the mapping and page in on
-// first touch. Version-1 files are decoded into resident memory, so
+// relabeling, Index and adjacency arrays alias the mapping and page in
+// on first touch. Version-1 files are decoded into resident memory, so
 // old files keep working everywhere.
 type EngineFile struct {
 	ih     *IHTL
@@ -234,7 +198,7 @@ type EngineFile struct {
 func (ef *EngineFile) IHTL() *IHTL { return ef.ih }
 
 // Mapped reports whether the topology is memory-mapped (true only for
-// v2 files on platforms where the mmap succeeded).
+// version-4 files on platforms where the mmap succeeded).
 func (ef *EngineFile) Mapped() bool { return ef.mapped }
 
 // Close releases the mapping. The IHTL and any engines built over it
@@ -248,12 +212,13 @@ func (ef *EngineFile) Close() error {
 	return nil
 }
 
-// OpenEngineFile opens a serialised engine graph of either version.
-// Version-2 files are memory-mapped read-only where the platform
-// allows (with a read-into-memory fallback), validated, and exposed
-// encoded-only — NewEngine's auto encoding then runs varint over the
-// mapping without materialising the flat adjacency. Version-1 files
-// fall back to the resident ReadIHTL decoder.
+// OpenEngineFile opens a serialised engine graph. Version-4 files are
+// memory-mapped read-only where the platform allows (with a
+// read-into-memory fallback), validated, and stepped in place: engines
+// over the mapping run the same flat kernels as over a resident graph,
+// with the adjacency never copied to the heap. Version-1 files fall
+// back to the resident ReadIHTL decoder. Other versions are refused
+// before anything is mapped.
 func OpenEngineFile(path string) (*EngineFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -277,7 +242,7 @@ func OpenEngineFile(path string) (*EngineFile, error) {
 			return nil, err
 		}
 		return &EngineFile{ih: ih}, nil
-	case ihtlVersion2:
+	case ihtlVersion4:
 		st, err := f.Stat()
 		if err != nil {
 			return nil, err
@@ -295,15 +260,24 @@ func OpenEngineFile(path string) (*EngineFile, error) {
 		}
 		return &EngineFile{ih: ih, data: data, mapped: mapped}, nil
 	default:
-		return nil, fmt.Errorf("core: %s: unsupported version %d", path, version)
+		return nil, fmt.Errorf("core: %s: %w", path, unsupportedVersion(version))
 	}
 }
 
-// readV2Resident lets the stream-based ReadIHTL (and so LoadFile)
-// accept version-2 files: the remainder of the stream — the 12-byte
+// unsupportedVersion is the error for a header version no reader
+// accepts, with a rebuild hint for the retired varint layout.
+func unsupportedVersion(version uint32) error {
+	if version == ihtlVersionVarint {
+		return fmt.Errorf("core: unsupported version %d (chunked-varint engine file; rebuild it from the graph or a version-1 file with ihtlconvert -to ihtlv2)", version)
+	}
+	return fmt.Errorf("core: unsupported version %d", version)
+}
+
+// readV4Resident lets the stream-based ReadIHTL (and so LoadFile)
+// accept version-4 files: the remainder of the stream — the 12-byte
 // magic/version prefix was already consumed — is read into an aligned
 // buffer, re-prefixed, and parsed resident.
-func readV2Resident(r io.Reader) (*IHTL, error) {
+func readV4Resident(r io.Reader) (*IHTL, error) {
 	rest, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
@@ -312,7 +286,7 @@ func readV2Resident(r io.Reader) (*IHTL, error) {
 	words := make([]int64, (size+7)/8)
 	buf := unsafe.Slice((*byte)(unsafe.Pointer(&words[0])), size)
 	binary.LittleEndian.PutUint64(buf[:8], ihtlMagic)
-	binary.LittleEndian.PutUint32(buf[8:12], ihtlVersion2)
+	binary.LittleEndian.PutUint32(buf[8:12], ihtlVersion4)
 	copy(buf[12:], rest)
 	return parseV2(buf)
 }
@@ -336,8 +310,8 @@ func readFileAligned(f *os.File, size int64) ([]byte, bool, error) {
 	return buf, false, nil
 }
 
-// v2cursor walks a v2 byte range with checked reads and 64-byte
-// section alignment.
+// v2cursor walks a mapped engine-file byte range with checked reads
+// and 64-byte section alignment.
 type v2cursor struct {
 	data []byte
 	off  int64
@@ -345,7 +319,7 @@ type v2cursor struct {
 
 func (c *v2cursor) need(n int64) error {
 	if n < 0 || n > int64(len(c.data))-c.off {
-		return fmt.Errorf("core: v2 file truncated at offset %d (need %d of %d bytes)", c.off, n, len(c.data))
+		return fmt.Errorf("core: engine file truncated at offset %d (need %d of %d bytes)", c.off, n, len(c.data))
 	}
 	return nil
 }
@@ -396,21 +370,6 @@ func (c *v2cursor) aliasU32(n int) ([]uint32, error) {
 	return out, nil
 }
 
-func (c *v2cursor) aliasI32(n int) ([]int32, error) {
-	b, err := c.bytes(int64(n) * 4)
-	if err != nil || n == 0 {
-		return nil, err
-	}
-	if hostLittle && uintptr(unsafe.Pointer(&b[0]))%4 == 0 {
-		return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n), nil
-	}
-	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
-	return out, nil
-}
-
 func (c *v2cursor) aliasI64(n int) ([]int64, error) {
 	b, err := c.bytes(int64(n) * 8)
 	if err != nil || n == 0 {
@@ -426,74 +385,13 @@ func (c *v2cursor) aliasI64(n int) ([]int64, error) {
 	return out, nil
 }
 
-// chunked parses one chunked adjacency segment and gates it behind
-// compress.Chunked.ValidateRows before anything downstream trusts the
-// unchecked decoder on it: every neighbour in [minDst, maxDst), and
-// every row's degree equal to the one the block's index gives it.
-func (c *v2cursor) chunked(label string, minDst, maxDst uint32, index []int64) (*compress.Chunked, error) {
-	wantSrc := max(len(index)-1, 0)
-	var wantEdges int64
-	if len(index) > 1 {
-		wantEdges = index[len(index)-1]
-	}
-	var m [6]uint64
-	for i := range m {
-		v, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		m[i] = v
-	}
-	numSrc, numEdges, maxSrcs, maxEdges, nOff, lenData := m[0], m[1], m[2], m[3], m[4], m[5]
-	c.align64()
-	if numSrc == 0 && nOff == 0 && lenData == 0 {
-		if wantEdges != 0 {
-			return nil, fmt.Errorf("core: %s: empty segment for %d edges", label, wantEdges)
-		}
-		return nil, nil
-	}
-	const maxN = uint64(1) << 40
-	if numSrc > maxN || numEdges > maxN || nOff > numSrc+1 || lenData > uint64(len(c.data)) ||
-		maxSrcs > numSrc || maxEdges > numEdges {
-		return nil, fmt.Errorf("core: %s: implausible chunked meta", label)
-	}
-	if int64(numSrc) != int64(wantSrc) || int64(numEdges) != wantEdges {
-		return nil, fmt.Errorf("core: %s: segment covers %d rows / %d edges, index says %d / %d",
-			label, numSrc, numEdges, wantSrc, wantEdges)
-	}
-	srcOff, err := c.aliasI32(int(nOff))
-	if err != nil {
-		return nil, err
-	}
-	c.align64()
-	byteOff, err := c.aliasI64(int(nOff))
-	if err != nil {
-		return nil, err
-	}
-	c.align64()
-	data, err := c.bytes(int64(lenData))
-	if err != nil {
-		return nil, err
-	}
-	c.align64()
-	ck := &compress.Chunked{
-		NumSrc:   int(numSrc),
-		NumEdges: int64(numEdges),
-		MaxSrcs:  int(maxSrcs),
-		MaxEdges: int(maxEdges),
-		SrcOff:   srcOff,
-		ByteOff:  byteOff,
-		Data:     data,
-	}
-	if err := ck.ValidateRows(minDst, maxDst, index); err != nil {
-		return nil, fmt.Errorf("core: %s: %w", label, err)
-	}
-	return ck, nil
-}
-
-// parseV2 decodes (mostly: aliases) a version-2 byte range into an
-// encoded-only IHTL, re-running the structural checks of the v1 reader
-// plus the chunked-stream validation.
+// parseV2 decodes (mostly: aliases) a version-4 byte range into an
+// IHTL whose arrays point into data, running every check the unchecked
+// kernels rely on before any engine can step it: the relabeling is a
+// permutation, every flipped destination lies in its block's hub
+// range, every sparse source is below NumV, section lengths match the
+// Index totals (checkShape), and the sections end exactly at the end
+// of the range.
 //
 //ihtl:nopanic
 func parseV2(data []byte) (*IHTL, error) {
@@ -509,8 +407,8 @@ func parseV2(data []byte) (*IHTL, error) {
 	if err != nil {
 		return nil, err
 	}
-	if version != ihtlVersion2 {
-		return nil, fmt.Errorf("core: unsupported version %d", version)
+	if version != ihtlVersion4 {
+		return nil, unsupportedVersion(version)
 	}
 	var numV, numHubs, numVWEH, numFV, hubsPerBlock, minHubDeg, numBlocks, destLo uint32
 	var numE uint64
@@ -569,65 +467,69 @@ func parseV2(data []byte) (*IHTL, error) {
 		if _, err = c.u32(); err != nil { // pad
 			return nil, err
 		}
-		lenIdx, err := c.u64()
-		if err != nil {
-			return nil, err
-		}
-		if lenIdx > uint64(numV)+1 {
-			return nil, fmt.Errorf("core: implausible block %d index size", i)
-		}
 		fb.HubLo, fb.HubHi, fb.Sources = int(hubLo), int(hubHi), int(sources)
 		if fb.HubLo > fb.HubHi || fb.HubHi > ih.NumHubs {
 			return nil, fmt.Errorf("core: block %d hub range [%d,%d) invalid", i, fb.HubLo, fb.HubHi)
 		}
-		c.align64()
-		if fb.Index, err = c.aliasI64(int(lenIdx)); err != nil {
+		if fb.Index, fb.Dsts, err = c.csr(fmt.Sprintf("block %d", i), numV, numE); err != nil {
 			return nil, err
 		}
-		c.align64()
-		edges := fb.NumEdges()
-		if edges < 0 || edges > int64(numE) {
-			return nil, fmt.Errorf("core: block %d edge count %d invalid", i, edges)
+		if j := firstOutside(fb.Dsts, hubLo, hubHi); j >= 0 {
+			return nil, fmt.Errorf("core: block %d destination %d out of range", i, fb.Dsts[j])
 		}
-		if fb.Enc, err = c.chunked(fmt.Sprintf("block %d", i), hubLo, hubHi, fb.Index); err != nil {
-			return nil, err
-		}
-		total += edges
-	}
-	lenIdx, err := c.u64()
-	if err != nil {
-		return nil, err
-	}
-	if lenIdx > uint64(numV)+1 {
-		return nil, fmt.Errorf("core: implausible sparse index size")
+		total += fb.NumEdges()
 	}
 	ih.Sparse.DestLo = int(destLo)
-	c.align64()
-	if ih.Sparse.Index, err = c.aliasI64(int(lenIdx)); err != nil {
+	if ih.Sparse.Index, ih.Sparse.Srcs, err = c.csr("sparse block", numV, numE); err != nil {
 		return nil, err
 	}
-	c.align64()
-	sEdges := ih.Sparse.NumEdges()
-	if sEdges < 0 || sEdges > int64(numE) {
-		return nil, fmt.Errorf("core: sparse edge count %d invalid", sEdges)
+	if j := firstOutside(ih.Sparse.Srcs, 0, numV); j >= 0 {
+		return nil, fmt.Errorf("core: sparse source %d out of range", ih.Sparse.Srcs[j])
 	}
-	if ih.Sparse.Enc, err = c.chunked("sparse block", 0, numV, ih.Sparse.Index); err != nil {
-		return nil, err
-	}
-	total += sEdges
+	total += ih.Sparse.NumEdges()
 	if total != ih.NumE {
 		return nil, fmt.Errorf("core: blocks cover %d edges, header says %d", total, ih.NumE)
 	}
 	// The writer pads every section — including the last — to a
-	// 64-byte boundary, so exactly one final alignment must land on the
-	// end of the range. Anything else is truncation or trailing junk.
-	c.align64()
+	// 64-byte boundary, so the last alignment must land on the end of
+	// the range. Anything else is truncation or trailing junk.
 	if c.off != int64(len(data)) {
-		return nil, fmt.Errorf("core: v2 size mismatch (%d bytes parsed, %d in file)", c.off, len(data))
+		return nil, fmt.Errorf("core: engine file size mismatch (%d bytes parsed, %d in file)", c.off, len(data))
 	}
 	if err := ih.checkShape(); err != nil {
 		return nil, err
 	}
 	ih.params = Params{HubsPerBlock: ih.HubsPerBlock}.withDefaults()
 	return ih, nil
+}
+
+// csr reads one block's section meta (index and adjacency lengths)
+// and aliases its Index and adjacency sections, leaving the cursor on
+// the next 64-byte boundary. Lengths are bounded by the header's NumV
+// and NumE before anything is aliased; that the adjacency holds
+// exactly the edges its Index counts is checkShape's.
+func (c *v2cursor) csr(label string, numV uint32, numE uint64) ([]int64, []uint32, error) {
+	lenIdx, err := c.u64()
+	if err != nil {
+		return nil, nil, err
+	}
+	lenAdj, err := c.u64()
+	if err != nil {
+		return nil, nil, err
+	}
+	if lenIdx > uint64(numV)+1 || lenAdj > numE {
+		return nil, nil, fmt.Errorf("core: %s: implausible section sizes (%d offsets, %d neighbours)", label, lenIdx, lenAdj)
+	}
+	c.align64()
+	idx, err := c.aliasI64(int(lenIdx))
+	if err != nil {
+		return nil, nil, err
+	}
+	c.align64()
+	adj, err := c.aliasU32(int(lenAdj))
+	if err != nil {
+		return nil, nil, err
+	}
+	c.align64()
+	return idx, adj, nil
 }

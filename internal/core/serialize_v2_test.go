@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,9 +24,9 @@ func buildV2TestGraph(t *testing.T) *IHTL {
 	return ih
 }
 
-// TestV2RoundTripBitForBit pins the v2-decoded blocks bit-for-bit
-// against their v1 (flat in-memory) source: header, relabeling, index
-// arrays, and the materialised adjacency.
+// TestV2RoundTripBitForBit pins the blocks of a graph opened from a
+// SaveFileV2 file bit-for-bit against their in-memory source: header,
+// relabeling, index arrays and adjacency.
 func TestV2RoundTripBitForBit(t *testing.T) {
 	ih := buildV2TestGraph(t)
 	path := filepath.Join(t.TempDir(), "g.ihtl2")
@@ -38,21 +39,17 @@ func TestV2RoundTripBitForBit(t *testing.T) {
 	}
 	defer ef.Close()
 	got := ef.IHTL()
-	if !got.EncodedOnly() {
-		t.Fatal("v2 open materialised the flat topology eagerly")
-	}
 	if got.NumV != ih.NumV || got.NumE != ih.NumE || got.NumHubs != ih.NumHubs ||
 		got.NumVWEH != ih.NumVWEH || got.NumFV != ih.NumFV ||
 		got.HubsPerBlock != ih.HubsPerBlock || got.MinHubDegree != ih.MinHubDegree ||
 		got.Sparse.DestLo != ih.Sparse.DestLo || len(got.Blocks) != len(ih.Blocks) {
-		t.Fatal("header fields changed in v2 round trip")
+		t.Fatal("header fields changed in the engine-file round trip")
 	}
 	for v := range ih.NewID {
 		if got.NewID[v] != ih.NewID[v] || got.OldID[v] != ih.OldID[v] {
 			t.Fatalf("relabeling changed at %d", v)
 		}
 	}
-	got.EnsureFlatTopology()
 	for i := range ih.Blocks {
 		a, b := &ih.Blocks[i], &got.Blocks[i]
 		if a.HubLo != b.HubLo || a.HubHi != b.HubHi || a.Sources != b.Sources {
@@ -88,8 +85,10 @@ func TestV2RoundTripBitForBit(t *testing.T) {
 }
 
 // TestV2EngineDifferential steps an engine straight over the opened
-// (encoded-only, possibly mapped) v2 graph and pins it against the
-// in-memory flat source — auto encoding must resolve to varint.
+// (mapped where the platform allows) graph and pins it bit for bit
+// against an engine over the in-memory source, on a real-valued vector
+// whose sums depend on the accumulation order. Both engines run the
+// same kernels over the same topology, so their footprints agree too.
 func TestV2EngineDifferential(t *testing.T) {
 	ih := buildV2TestGraph(t)
 	path := filepath.Join(t.TempDir(), "g.ihtl2")
@@ -101,7 +100,7 @@ func TestV2EngineDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ef.Close()
-	flat, err := NewEngineOpts(ih, testPool, EngineOptions{BlockEncoding: EncodingFlat})
+	resident, err := NewEngine(ih, testPool)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +108,11 @@ func TestV2EngineDifferential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if loaded.Encoding() != EncodingVarint {
-		t.Fatalf("engine over v2 file resolved to %v, want varint", loaded.Encoding())
-	}
-	src := integerVec(3, ih.NumV)
-	requireBitIdentical(t, "v2 engine", stepOldSpace(ih, flat, src), stepOldSpace(ef.IHTL(), loaded, src))
-	if loaded.ResidentTopologyBytes() >= flat.ResidentTopologyBytes() {
-		t.Errorf("v2 resident topology %d B not below flat %d B",
-			loaded.ResidentTopologyBytes(), flat.ResidentTopologyBytes())
+	src := randomVec(3, ih.NumV)
+	requireBitIdentical(t, "mapped engine", stepOldSpace(ih, resident, src), stepOldSpace(ef.IHTL(), loaded, src))
+	if loaded.ResidentTopologyBytes() != resident.ResidentTopologyBytes() || loaded.BytesPerStep() != resident.BytesPerStep() {
+		t.Errorf("mapped footprint %d/%d B differs from resident %d/%d B",
+			loaded.ResidentTopologyBytes(), loaded.BytesPerStep(), resident.ResidentTopologyBytes(), resident.BytesPerStep())
 	}
 }
 
@@ -158,8 +154,8 @@ func TestV2DegreeBuckets(t *testing.T) {
 	}
 }
 
-// TestLoadFileReadsV2 pins the stream decoder's v2 path: LoadFile must
-// accept both versions.
+// TestLoadFileReadsV2 pins the stream decoder's path for SaveFileV2
+// output: LoadFile must accept it as well as version 1.
 func TestLoadFileReadsV2(t *testing.T) {
 	ih := buildV2TestGraph(t)
 	path := filepath.Join(t.TempDir(), "g.ihtl2")
@@ -177,7 +173,9 @@ func TestLoadFileReadsV2(t *testing.T) {
 
 // TestV2RejectsCorruption fuzz-adjacent hostile-input coverage for the
 // mapped parser: truncations and bit flips across the whole file must
-// error, never panic.
+// error, never panic, and an adjacency entry the unchecked kernels
+// would follow out of bounds — a flipped destination outside its
+// block's hub range, a sparse source >= NumV — must be refused.
 func TestV2RejectsCorruption(t *testing.T) {
 	ih := buildV2TestGraph(t)
 	var buf bytes.Buffer
@@ -194,12 +192,39 @@ func TestV2RejectsCorruption(t *testing.T) {
 		}
 		ef, err := OpenEngineFile(path)
 		if err == nil {
-			// A flipped byte inside a gap stream can decode to another
-			// valid graph; it must still pass full validation, so an
+			// A flipped byte inside an adjacency section can yield
+			// another valid graph; it passed full validation, so an
 			// engine over it is memory-safe. Just close it.
 			ef.Close()
 		}
 	}
+	mustReject := func(name string, mut func(ih *IHTL)) {
+		t.Helper()
+		bad := buildV2TestGraph(t)
+		mut(bad)
+		path := filepath.Join(dir, name)
+		if err := bad.SaveFileV2(path); err != nil {
+			t.Fatal(err)
+		}
+		if ef, err := OpenEngineFile(path); err == nil {
+			ef.Close()
+			t.Errorf("%s: accepted", name)
+		} else if !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%s: err = %v, want an out-of-range error", name, err)
+		}
+	}
+	mustReject("dst-outside-block", func(ih *IHTL) {
+		// Into the previous block's hubs: still inside the hub buffer,
+		// so only the per-block range check can catch it.
+		fb := &ih.Blocks[len(ih.Blocks)-1]
+		if fb.HubLo == 0 || len(fb.Dsts) == 0 {
+			t.Fatal("fixture needs a non-empty block after the first")
+		}
+		fb.Dsts[0] = uint32(fb.HubLo - 1)
+	})
+	mustReject("sparse-src-out-of-range", func(ih *IHTL) {
+		ih.Sparse.Srcs[len(ih.Sparse.Srcs)/2] = uint32(ih.NumV)
+	})
 	for _, cut := range []int{13, 64, 128, len(data) / 2, len(data) - 1} {
 		path := filepath.Join(dir, "trunc")
 		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
@@ -221,46 +246,63 @@ func TestV2RejectsCorruption(t *testing.T) {
 // an error naming the version, without panicking and without leaving
 // the file mapped.
 func TestV3FileRejected(t *testing.T) {
+	requireVersionRejected(t, 3, "")
+}
+
+// TestVarintFileRejected: version 2 was the chunked-varint layout whose
+// engines decoded inside the step. It is refused like version 3, with
+// a hint naming the rebuild command.
+func TestVarintFileRejected(t *testing.T) {
+	requireVersionRejected(t, ihtlVersionVarint, "ihtlconvert -to ihtlv2")
+}
+
+// requireVersionRejected writes a file in a retired version and checks
+// that OpenEngineFile, ReadIHTL and LoadFile all refuse it with an
+// error naming the version (and hint, when given), and that nothing of
+// it stays mapped. A positive control first shows that the mapping
+// check sees an open version-4 mapping.
+func requireVersionRejected(t *testing.T, version uint32, hint string) {
+	t.Helper()
 	dir := t.TempDir()
-	v2 := filepath.Join(dir, "g.ihtl2")
-	if err := buildV2TestGraph(t).SaveFileV2(v2); err != nil {
+	v4 := filepath.Join(dir, "g.ihtl2")
+	if err := buildV2TestGraph(t).SaveFileV2(v4); err != nil {
 		t.Fatal(err)
 	}
-	// Positive control: the mapping check sees a mapped v2 file until
-	// Close, so its silence below means something.
-	ef, err := OpenEngineFile(v2)
+	ef, err := OpenEngineFile(v4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ef.Mapped() && !mappedInProcess(t, v2) {
-		t.Fatal("mapping check cannot see an open v2 mapping")
+	if ef.Mapped() && !mappedInProcess(t, v4) {
+		t.Fatal("mapping check cannot see an open engine-file mapping")
 	}
 	ef.Close()
-	if mappedInProcess(t, v2) {
-		t.Fatal("v2 file still mapped after Close")
+	if mappedInProcess(t, v4) {
+		t.Fatal("engine file still mapped after Close")
 	}
 
-	v3 := filepath.Join(dir, "g.ihtl3")
-	if err := os.WriteFile(v3, v3Header(), 0o644); err != nil {
+	old := filepath.Join(dir, fmt.Sprintf("g.v%d", version))
+	hdr := retiredHeader(version)
+	if err := os.WriteFile(old, hdr, 0o644); err != nil {
 		t.Fatal(err)
 	}
+	want := fmt.Sprintf("unsupported version %d", version)
 	wantUnsupported := func(name string, err error) {
 		t.Helper()
-		if err == nil || !strings.Contains(err.Error(), "unsupported version 3") {
-			t.Fatalf("%s: err = %v, want an unsupported version 3 error", name, err)
+		if err == nil || !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), hint) {
+			t.Fatalf("%s: err = %v, want %q with %q", name, err, want, hint)
 		}
 	}
-	ef, err = OpenEngineFile(v3)
+	ef, err = OpenEngineFile(old)
 	if ef != nil {
-		t.Fatal("OpenEngineFile returned a file for version 3")
+		t.Fatalf("OpenEngineFile returned a file for version %d", version)
 	}
 	wantUnsupported("OpenEngineFile", err)
-	_, err = ReadIHTL(bytes.NewReader(v3Header()))
+	_, err = ReadIHTL(bytes.NewReader(hdr))
 	wantUnsupported("ReadIHTL", err)
-	_, err = LoadFile(v3)
+	_, err = LoadFile(old)
 	wantUnsupported("LoadFile", err)
-	if mappedInProcess(t, v3) {
-		t.Fatal("rejected version-3 file left mapped")
+	if mappedInProcess(t, old) {
+		t.Fatalf("rejected version-%d file left mapped", version)
 	}
 }
 

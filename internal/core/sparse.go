@@ -174,12 +174,6 @@ func (e *Engine) sparsePullWorker(w int, src, dst []float64) {
 func (e *Engine) sparsePullRange(lo, hi int, src, dst []float64) {
 	sp := &e.ih.Sparse
 	base := sp.DestLo
-	if e.varint {
-		for i := lo; i < hi; i++ {
-			unchecked.SetAt(dst, base+i, e.sparseRowSumEnc(i, src))
-		}
-		return
-	}
 	idx, srcs := sp.Index, sp.Srcs
 	for i := lo; i < hi; i++ {
 		sum := 0.0
@@ -223,13 +217,6 @@ func (e *Engine) sparseHeavyPart(p int, src, dst []float64) {
 	base := sp.DestLo
 	heavy := sp.Heavy
 	qLo, qHi := unchecked.At(e.heavyBounds, p), unchecked.At(e.heavyBounds, p+1)
-	if e.varint {
-		for q := qLo; q < qHi; q++ {
-			i := int(unchecked.At(heavy, q))
-			unchecked.SetAt(dst, base+i, e.sparseRowSumEnc(i, src))
-		}
-		return
-	}
 	idx, srcs := sp.Index, sp.Srcs
 	for q := qLo; q < qHi; q++ {
 		i := int(unchecked.At(heavy, q))
@@ -270,18 +257,8 @@ func (e *Engine) sparseLightPart(p int, src, dst []float64) {
 	sp := &e.ih.Sparse
 	heavy := sp.HeavyDeg
 	base := sp.DestLo
-	idx := sp.Index
+	idx, srcs := sp.Index, sp.Srcs
 	iLo, iHi := unchecked.At(e.lightBounds, p), unchecked.At(e.lightBounds, p+1)
-	if e.varint {
-		for i := iLo; i < iHi; i++ {
-			if unchecked.At(idx, i+1)-unchecked.At(idx, i) >= heavy {
-				continue
-			}
-			unchecked.SetAt(dst, base+i, e.sparseRowSumEnc(i, src))
-		}
-		return
-	}
-	srcs := sp.Srcs
 	for i := iLo; i < iHi; i++ {
 		lo, end := unchecked.At(idx, i), unchecked.At(idx, i+1)
 		if end-lo >= heavy {

@@ -62,10 +62,6 @@ func (e *Engine) sparsePullRangeBatch(k, lo, hi int, src, dst []float64) {
 		for j := range out {
 			out[j] = 0
 		}
-		if e.varint {
-			e.sparseRowAccEnc(i, k, src, out)
-			continue
-		}
 		for jj := sp.Index[i]; jj < sp.Index[i+1]; jj++ {
 			sb := int(sp.Srcs[jj]) * k
 			xs := src[sb : sb+k : sb+k]
@@ -106,10 +102,6 @@ func (e *Engine) sparseHeavyPartBatch(k, p int, src, dst []float64) {
 		out := dst[db : db+k : db+k]
 		for j := range out {
 			out[j] = 0
-		}
-		if e.varint {
-			e.sparseRowAccEnc(i, k, src, out)
-			continue
 		}
 		for jj := sp.Index[i]; jj < sp.Index[i+1]; jj++ {
 			sb := int(sp.Srcs[jj]) * k
@@ -153,10 +145,6 @@ func (e *Engine) sparseLightPartBatch(k, p int, src, dst []float64) {
 		out := dst[db : db+k : db+k]
 		for j := range out {
 			out[j] = 0
-		}
-		if e.varint {
-			e.sparseRowAccEnc(i, k, src, out)
-			continue
 		}
 		for jj := sp.Index[i]; jj < sp.Index[i+1]; jj++ {
 			sb := int(sp.Srcs[jj]) * k

@@ -16,8 +16,9 @@ type detEngine interface {
 }
 
 // detVariants are the engine shapes every default-options engine
-// promises bit-for-bit reproducibility for: the fused pipeline over
-// both block encodings, the same engine stepped phase by phase
+// promises bit-for-bit reproducibility for: the fused pipeline over a
+// resident graph and over the same graph opened from a mapped engine
+// file, the same engine stepped phase by phase
 // (phasedStep; its StepBatch is the engine's own). None sets
 // StaticFlipped: the fixed flipped partition is the
 // only schedule. build returns the engine and the permutation from its
@@ -29,8 +30,17 @@ var detVariants = []struct {
 	{"fused-flat", func(t *testing.T, g *graph.Graph, p Params) (detEngine, func(in, out []float64)) {
 		return buildDetEngine(t, g, p, EngineOptions{})
 	}},
-	{"fused-varint", func(t *testing.T, g *graph.Graph, p Params) (detEngine, func(in, out []float64)) {
-		return buildDetEngine(t, g, p, EngineOptions{BlockEncoding: EncodingVarint})
+	{"fused-mapped", func(t *testing.T, g *graph.Graph, p Params) (detEngine, func(in, out []float64)) {
+		ih, err := Build(g, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mapped := openMapped(t, ih)
+		e, err := NewEngine(mapped, testPool)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, mapped.PermuteToOld
 	}},
 	{"phased", func(t *testing.T, g *graph.Graph, p Params) (detEngine, func(in, out []float64)) {
 		e, toOld := buildDetEngine(t, g, p, EngineOptions{})

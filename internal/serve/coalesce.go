@@ -199,7 +199,7 @@ func (s *Server) runBatch(sl *slot, reqs []*pprReq) {
 // The returned ranks are in ORIGINAL vertex-ID space.
 func (s *Server) QueryPPR(ctx context.Context, src uint32) (PPRAnswer, error) {
 	if int(src) >= s.n {
-		return PPRAnswer{}, fmt.Errorf("serve: vertex %d out of [0,%d)", src, s.n)
+		return PPRAnswer{}, &SourceError{Source: src, NumV: s.n}
 	}
 	if ctx == nil {
 		ctx = context.Background()
@@ -223,6 +223,18 @@ func (s *Server) QueryPPR(ctx context.Context, src uint32) (PPRAnswer, error) {
 	}
 	ans.Ranks = s.toOriginal(r.Ranks)
 	return ans, nil
+}
+
+// SourceError is QueryPPR's error for a source vertex outside the
+// served graph, refused before admission; the HTTP layer answers it
+// with 400.
+type SourceError struct {
+	Source uint32
+	NumV   int
+}
+
+func (e *SourceError) Error() string {
+	return fmt.Sprintf("serve: vertex %d out of [0,%d)", e.Source, e.NumV)
 }
 
 // PPRAnswer is a completed query in original ID space. Status

@@ -8,8 +8,10 @@
 //
 // Shed requests answer 429 with Retry-After; deadline-expired queries
 // answer 200 with converged=false and the partial ranks (degraded
-// mode). POST bodies over maxBodyBytes answer 413. Every request is logged structurally (method, path, status,
-// duration).
+// mode). POST bodies over maxBodyBytes answer 413; a negative top or a
+// source outside the graph answers 400, and timeout_ms is capped at
+// maxQueryTimeout. Every request is logged structurally (method, path,
+// status, duration).
 package serve
 
 import (
@@ -96,9 +98,17 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return false
 }
 
+// maxQueryTimeout caps a query's client-chosen deadline (timeout_ms),
+// so no client can hold a lane, or overflow the deadline arithmetic,
+// with an arbitrarily large value.
+const maxQueryTimeout = time.Minute
+
+var errBadTop = errors.New("serve: bad top")
+
 // pprRequest is the query body. Top selects how many of the highest
-// ranks to return (default 10); Ranks requests the full dense vector
-// (heavyweight — meant for verification harnesses, not serving).
+// ranks to return (default 10, never negative); Ranks requests the
+// full dense vector (heavyweight — meant for verification harnesses,
+// not serving).
 type pprRequest struct {
 	Source    uint32 `json:"source"`
 	TimeoutMS int    `json:"timeout_ms"`
@@ -125,14 +135,22 @@ func (s *Server) handlePPR(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
+	if req.Top < 0 {
+		writeErr(w, http.StatusBadRequest, errBadTop)
+		return
+	}
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
-		timeout = time.Duration(req.TimeoutMS) * time.Millisecond
+		timeout = time.Duration(min(req.TimeoutMS, int(maxQueryTimeout/time.Millisecond))) * time.Millisecond
 	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	ans, err := s.QueryPPR(ctx, req.Source)
+	var srcErr *SourceError
 	switch {
+	case errors.As(err, &srcErr):
+		writeErr(w, http.StatusBadRequest, err)
+		return
 	case errors.Is(err, ErrOverloaded):
 		w.Header().Set("Retry-After", "1")
 		writeErr(w, http.StatusTooManyRequests, err)
@@ -233,7 +251,7 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 		top := 10
 		if t := q.Get("top"); t != "" {
 			if top, err = strconv.Atoi(t); err != nil || top < 0 {
-				writeErr(w, http.StatusBadRequest, errors.New("serve: bad top"))
+				writeErr(w, http.StatusBadRequest, errBadTop)
 				return
 			}
 		}

@@ -2,7 +2,11 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -68,5 +72,55 @@ func TestServeRejectsV3EngineFile(t *testing.T) {
 	}
 	if maps, err := os.ReadFile("/proc/self/maps"); err == nil && bytes.Contains(maps, []byte(path)) {
 		t.Fatal("rejected version-3 engine file left mapped")
+	}
+}
+
+// postPPR sends one /v1/ppr body straight to the handler and returns
+// the status and decoded answer.
+func postPPR(t *testing.T, h http.Handler, body string) (int, map[string]any) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/ppr", strings.NewReader(body)))
+	var out map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+		t.Fatalf("%s: undecodable answer %q: %v", body, rec.Body.String(), err)
+	}
+	return rec.Code, out
+}
+
+// TestServePPRNegativeTop: a negative top is a client error, answered
+// 400 before the query is admitted, not a handler panic.
+func TestServePPRNegativeTop(t *testing.T) {
+	s := startServer(t, testConfig(testEngineFile(t, 6, 1, 3)))
+	if code, out := postPPR(t, s.Handler(), `{"source": 1, "top": -1}`); code != http.StatusBadRequest {
+		t.Fatalf("top -1: status %d (%v), want 400", code, out)
+	}
+}
+
+// TestServePPRSourceOutOfRange: a source outside the served graph is a
+// client error. QueryPPR reports it as a *SourceError, which the
+// handler answers with 400.
+func TestServePPRSourceOutOfRange(t *testing.T) {
+	s := startServer(t, testConfig(testEngineFile(t, 6, 1, 3)))
+	n := s.n
+	var srcErr *SourceError
+	if _, err := s.QueryPPR(context.Background(), uint32(n)); !errors.As(err, &srcErr) || srcErr.NumV != n {
+		t.Fatalf("QueryPPR(%d): err = %v, want a *SourceError", n, err)
+	}
+	body := fmt.Sprintf(`{"source": %d}`, n)
+	if code, out := postPPR(t, s.Handler(), body); code != http.StatusBadRequest {
+		t.Fatalf("source %d of %d: status %d (%v), want 400", n, n, code, out)
+	}
+}
+
+// TestServePPRTimeoutCapped: timeout_ms is capped at maxQueryTimeout
+// before it becomes a time.Duration. 2^60 ms times a millisecond wraps
+// to a zero duration, which would expire the query before admission;
+// capped, the query converges.
+func TestServePPRTimeoutCapped(t *testing.T) {
+	s := startServer(t, testConfig(testEngineFile(t, 6, 1, 3)))
+	code, out := postPPR(t, s.Handler(), `{"source": 1, "timeout_ms": 1152921504606846976}`)
+	if code != http.StatusOK || out["converged"] != true {
+		t.Fatalf("timeout_ms 2^60: status %d, answer %v; want 200 and a converged answer", code, out)
 	}
 }

@@ -58,9 +58,8 @@ func (e *Engine) BytesPerStep() int64 {
 // ResidentTopologyBytes returns the bytes of topology (plus
 // topology-shaped scratch) the engine keeps resident: the CSR/CSC
 // arrays, the partitioned replica for PushPartitioned, and the bin
-// arrays of propagation blocking. The baselines have no compressed
-// form, so this is the flat footprint the iHTL varint encoding's
-// resident_bytes column is compared against.
+// arrays of propagation blocking, comparable with the iHTL engine's
+// resident_bytes column.
 func (e *Engine) ResidentTopologyBytes() int64 {
 	g := e.g
 	V, E := int64(g.NumV), int64(g.NumE)

@@ -1,8 +1,8 @@
 //go:build !ihtlchecked
 
 // Package unchecked provides bounds-check-free slice access for the
-// //ihtl:nobce kernels. The flipped push, varint decode and sparse
-// pull loops index by graph data — vertex IDs, CSR offsets, byte cursors — that no bounds-check-
+// //ihtl:nobce kernels. The flipped push and sparse pull loops index
+// by graph data — vertex IDs and CSR offsets — that no bounds-check-
 // elimination analysis can prove in range, so in safe Go every gather
 // and scatter in those loops pays a per-edge check. These helpers
 // perform the access without it; the ihtlvet -bce gate then pins the
@@ -10,9 +10,9 @@
 //
 // Safety rests on the construction invariants, not on luck: BuildIHTL
 // produces indices below the lengths of the slices the kernels pair
-// them with, and data of external origin (a v2 engine file) must pass
-// Chunked.Validate / parseV2's structural checks before any kernel
-// touches it. Code outside the //ihtl:nobce kernel set must not use
+// them with, and data of external origin (an engine file) must pass
+// the readers' structural and range checks before any kernel touches
+// it. Code outside the //ihtl:nobce kernel set must not use
 // this package.
 //
 // Building with -tags=ihtlchecked swaps every helper for its checked
